@@ -7,11 +7,10 @@
 
 use aas_obs::MetricsRegistry;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// The ten dynamic-adaptability approaches of the paper's §2, in paper
 /// order, plus `Reconfiguration` as the heavyweight reference point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MechanismKind {
     /// 1 — composition frameworks with pluggable components and aspects.
     CompositionFramework,
@@ -113,7 +112,7 @@ impl fmt::Display for MechanismKind {
 }
 
 /// Cost model of one mechanism in this framework.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MechanismProfile {
     /// Which mechanism.
     pub kind: MechanismKind,

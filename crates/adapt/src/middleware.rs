@@ -13,10 +13,9 @@
 //! stack reshapes itself.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A middleware service on the message path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MiddlewareService {
     /// Compresses payloads: scales size by `ratio`, costs `cost` per
     /// message.
@@ -58,7 +57,7 @@ impl MiddlewareService {
 }
 
 /// Reflection-gathered execution context.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContextInfo {
     /// Available bandwidth fraction, `[0, 1]` of nominal.
     pub bandwidth: f64,
@@ -85,7 +84,7 @@ impl ContextInfo {
 }
 
 /// Effect of the current stack on one message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StackEffect {
     /// Wire-size multiplier.
     pub size_factor: f64,

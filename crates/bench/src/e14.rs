@@ -210,8 +210,8 @@ pub fn cells() -> Vec<Cell> {
     out
 }
 
-/// Renders cells as the `BENCH_e14.json` artifact (no serde in the
-/// workspace — the shape is flat enough to emit by hand).
+/// Renders cells as the `BENCH_e14.json` artifact (the shape is flat
+/// enough to emit by hand).
 #[must_use]
 pub fn to_json(cells: &[Cell]) -> String {
     let mut s = String::from("{\n  \"experiment\": \"e14\",\n  \"cells\": [\n");

@@ -23,6 +23,14 @@
 //! * **wall events/s** — elapsed wall clock, i.e. what this particular
 //!   host actually achieved with real worker threads.
 //!
+//! Two barrier-cost columns per cell:
+//!
+//! * **ns/window** — coordinator-serial nanoseconds per window (batch
+//!   exchange + K-way merge + metric flush), the per-barrier tax.
+//! * **exch/op** — cross-shard entries per exchange operation: batches
+//!   move between shards as whole struct-of-arrays buffers, so one O(1)
+//!   buffer move carries this many entries.
+//!
 //! Set `E15_SMOKE=1` to run a reduced message count (CI smoke mode).
 
 use crate::table::{f2, Table};
@@ -71,10 +79,23 @@ pub struct Cell {
     pub windows: u64,
     /// Cross-shard messages exchanged at barriers.
     pub exchanged: u64,
+    /// Whole-batch exchange operations (entries ÷ ops = batch size).
+    pub exchange_ops: u64,
+    /// Coordinator-serial nanoseconds per window (exchange, merge,
+    /// flush).
+    pub barrier_ns_per_window: f64,
     /// Modeled (critical-path) events per second.
     pub modeled_events_per_sec: f64,
     /// Wall-clock events per second on this host.
     pub wall_events_per_sec: f64,
+}
+
+impl Cell {
+    /// Cross-shard entries carried per whole-batch exchange operation.
+    #[must_use]
+    pub fn entries_per_exchange_op(&self) -> f64 {
+        self.exchanged as f64 / self.exchange_ops.max(1) as f64
+    }
 }
 
 /// Dense workload: every pair one hop apart (same as E14).
@@ -172,6 +193,8 @@ pub fn run_cell(workload: &'static str, faults: bool, shards: u32, msgs: u64) ->
         events: stats.events,
         windows: stats.windows,
         exchanged: stats.exchanged,
+        exchange_ops: stats.exchange_ops,
+        barrier_ns_per_window: stats.barrier_ns as f64 / stats.windows.max(1) as f64,
         modeled_events_per_sec: stats.modeled_events_per_sec(),
         wall_events_per_sec: stats.events as f64 / secs,
     }
@@ -217,6 +240,8 @@ pub fn render(all: &[Cell], msgs: u64) -> Table {
             "events",
             "windows",
             "exchanged",
+            "exch/op",
+            "ns/window",
             "modeled ev/s",
             "speedup",
             "wall ev/s",
@@ -234,6 +259,8 @@ pub fn render(all: &[Cell], msgs: u64) -> Table {
             cell.events.to_string(),
             cell.windows.to_string(),
             cell.exchanged.to_string(),
+            format!("{:.0}", cell.entries_per_exchange_op()),
+            format!("{:.0}", cell.barrier_ns_per_window),
             format!("{:.0}", cell.modeled_events_per_sec),
             f2(cell.modeled_events_per_sec / base),
             format!("{:.0}", cell.wall_events_per_sec),
@@ -242,8 +269,8 @@ pub fn render(all: &[Cell], msgs: u64) -> Table {
     table
 }
 
-/// Renders cells as the `BENCH_e15.json` artifact (no serde in the
-/// workspace — the shape is flat enough to emit by hand).
+/// Renders cells as the `BENCH_e15.json` artifact (the shape is flat
+/// enough to emit by hand).
 #[must_use]
 pub fn to_json(cells: &[Cell]) -> String {
     let mut s = String::from("{\n  \"experiment\": \"e15\",\n  \"cells\": [\n");
@@ -251,7 +278,9 @@ pub fn to_json(cells: &[Cell]) -> String {
         s.push_str(&format!(
             "    {{\"workload\": \"{}\", \"faults\": {}, \"shards\": {}, \
              \"msgs\": {}, \"events\": {}, \"windows\": {}, \
-             \"exchanged\": {}, \"modeled_events_per_sec\": {:.0}, \
+             \"exchanged\": {}, \"exchange_ops\": {}, \
+             \"barrier_ns_per_window\": {:.0}, \
+             \"modeled_events_per_sec\": {:.0}, \
              \"wall_events_per_sec\": {:.0}}}{}\n",
             c.workload,
             c.faults,
@@ -260,6 +289,8 @@ pub fn to_json(cells: &[Cell]) -> String {
             c.events,
             c.windows,
             c.exchanged,
+            c.exchange_ops,
+            c.barrier_ns_per_window,
             c.modeled_events_per_sec,
             c.wall_events_per_sec,
             if i + 1 < cells.len() { "," } else { "" },
@@ -293,11 +324,24 @@ mod tests {
     }
 
     #[test]
+    fn exchange_is_batched() {
+        let c = run_cell("clique16", false, 4, 30_000);
+        assert!(c.exchanged > 0, "clique at K=4 must cross shards");
+        assert!(
+            c.exchange_ops < c.exchanged,
+            "batches must carry more than one entry on average: {} ops for {} entries",
+            c.exchange_ops,
+            c.exchanged
+        );
+    }
+
+    #[test]
     fn json_artifact_is_well_formed() {
         let cells = vec![run_cell("clique16", false, 2, 1_000)];
         let json = to_json(&cells);
         assert!(json.contains("\"experiment\": \"e15\""));
         assert!(json.contains("\"shards\": 2"));
+        assert!(json.contains("\"barrier_ns_per_window\": "));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

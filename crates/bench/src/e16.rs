@@ -293,8 +293,8 @@ pub fn render(all: &[Cell]) -> Table {
     table
 }
 
-/// Renders cells as the `BENCH_e16.json` artifact (no serde in the
-/// workspace — the shape is flat enough to emit by hand).
+/// Renders cells as the `BENCH_e16.json` artifact (the shape is flat
+/// enough to emit by hand).
 #[must_use]
 pub fn to_json(cells: &[Cell]) -> String {
     let mut s = String::from("{\n  \"experiment\": \"e16\",\n  \"cells\": [\n");

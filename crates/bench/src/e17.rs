@@ -150,8 +150,8 @@ pub fn render(s: &Summary) -> Table {
     table
 }
 
-/// Renders the summary as the `BENCH_e17.json` artifact (no serde in
-/// the workspace — emitted by hand). Fingerprints are hex strings so
+/// Renders the summary as the `BENCH_e17.json` artifact (emitted by
+/// hand). Fingerprints are hex strings so
 /// the reproduction test can compare them textually.
 #[must_use]
 pub fn to_json(s: &Summary) -> String {

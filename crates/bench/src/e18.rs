@@ -155,8 +155,8 @@ pub fn render(s: &Summary) -> Table {
     table
 }
 
-/// Renders the summary as the `BENCH_e18.json` artifact (no serde in
-/// the workspace — emitted by hand).
+/// Renders the summary as the `BENCH_e18.json` artifact (emitted by
+/// hand).
 #[must_use]
 pub fn to_json(s: &Summary) -> String {
     let seeds: Vec<String> = s.seeds.iter().map(u64::to_string).collect();

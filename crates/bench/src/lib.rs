@@ -1,9 +1,9 @@
 //! # aas-bench — the experiment harness
 //!
-//! One module per experiment (E1–E20). Each exposes `run() -> Table`
-//! regenerating the experiment's result table; the Criterion targets in
-//! `benches/` print these tables and add wall-clock micro-measurements of
-//! the hot primitives. See `EXPERIMENTS.md` for the claim ↔ measurement
+//! One module per experiment (E1–E20; the retired E19 was folded into
+//! E15). Each exposes `run() -> Table` regenerating the experiment's
+//! result table; the Criterion targets in `benches/` print these tables
+//! and add wall-clock micro-measurements of the hot primitives. See `EXPERIMENTS.md` for the claim ↔ measurement
 //! mapping and recorded results.
 
 #![warn(missing_docs)]
@@ -28,7 +28,6 @@ pub mod e15;
 pub mod e16;
 pub mod e17;
 pub mod e18;
-pub mod e19;
 pub mod e20;
 pub mod table;
 

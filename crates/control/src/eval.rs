@@ -7,10 +7,9 @@
 
 use crate::control_loop::ControlLoop;
 use crate::plant::Plant;
-use serde::{Deserialize, Serialize};
 
 /// One sample of a closed-loop trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Time in seconds.
     pub t: f64,
@@ -21,7 +20,7 @@ pub struct TracePoint {
 }
 
 /// Summary of a step response.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseMetrics {
     /// Peak overshoot as a percentage of the step size (0 if none).
     pub overshoot_pct: f64,

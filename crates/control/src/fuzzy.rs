@@ -13,10 +13,9 @@
 //! classic 5×5 rule matrix.
 
 use crate::Controller;
-use serde::{Deserialize, Serialize};
 
 /// A membership function over ℝ.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Membership {
     /// Triangle with feet `a`, `c` and peak `b`.
     Tri(f64, f64, f64),
@@ -56,7 +55,7 @@ impl Membership {
 }
 
 /// A named fuzzy set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzySet {
     /// Linguistic label, e.g. `"negative-large"`.
     pub name: String,
@@ -76,7 +75,7 @@ impl FuzzySet {
 }
 
 /// A linguistic variable: a name, a universe of discourse and its sets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinguisticVar {
     /// Variable name, e.g. `"error"`.
     pub name: String,
@@ -140,7 +139,7 @@ impl LinguisticVar {
 }
 
 /// One Mamdani rule: IF in1 is A AND in2 is B THEN out is C, by set index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuzzyRule {
     /// Antecedent set index on input 1.
     pub in1: usize,
@@ -151,7 +150,7 @@ pub struct FuzzyRule {
 }
 
 /// A two-input, one-output Mamdani inference engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzyEngine {
     input1: LinguisticVar,
     input2: LinguisticVar,
@@ -251,7 +250,7 @@ const RULE_MATRIX: [[usize; 5]; 5] = [
 /// let u2 = f.update(-8.0, 0.1);  // large negative error -> push down
 /// assert!(u2 < 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FuzzyController {
     engine: FuzzyEngine,
     last_error: Option<f64>,

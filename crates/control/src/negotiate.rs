@@ -22,7 +22,6 @@
 //! sharded-kernel execution modes.
 
 use crate::situational::SituationalModel;
-use serde::{Deserialize, Serialize};
 
 /// FNV-1a 64-bit digest — the workspace's standard fingerprint primitive.
 #[must_use]
@@ -36,7 +35,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The negotiated resource dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResourceKind {
     /// Service capacity: how much work per message the agent may spend
     /// (downgrading strategy cheapens each message).
@@ -73,7 +72,7 @@ impl ResourceKind {
 }
 
 /// A vector over the four negotiated resource dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVector {
     /// Work units per message the agent may spend.
     pub capacity: f64,
@@ -169,7 +168,7 @@ impl ResourceVector {
 }
 
 /// How an agent values partial grants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum UtilityCurve {
     /// Utility grows linearly with the granted fraction.
     #[default]
@@ -216,7 +215,7 @@ impl UtilityCurve {
 /// The agent's sensitivity to each arbitration objective. The coordinator
 /// dots this with its own [`ObjectiveWeights`] to get the agent's
 /// effective weight in surplus distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectiveVector {
     /// How much the agent's mission suffers from added latency.
     pub latency: f64,
@@ -238,7 +237,7 @@ impl Default for ObjectiveVector {
 
 /// The coordinator's arbitration policy: relative importance of the three
 /// objectives when trading grants between agents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectiveWeights {
     /// Weight on latency-sensitivity.
     pub latency: f64,
@@ -272,7 +271,7 @@ impl ObjectiveWeights {
 }
 
 /// One agent's request for the next negotiation round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetRequest {
     /// Agent (instance) name; the arbitration tie-break key.
     pub agent: String,
@@ -328,7 +327,7 @@ impl BudgetRequest {
 }
 
 /// A per-agent allocation for one negotiation epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grant {
     /// The agent the grant belongs to.
     pub agent: String,
@@ -346,7 +345,7 @@ pub struct Grant {
 
 /// Why a request was denied. Denials are always audited: "every agent gets
 /// its floor or an audited deny" is the harness's core safety property.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenyReason {
     /// The remaining budget could not cover the agent's floor.
     FloorUnsatisfiable,
@@ -368,7 +367,7 @@ impl DenyReason {
 /// How an agent adapts inside its grant. The runtime compiles `Migrate`
 /// into an ordinary transactional reconfiguration plan; the others are
 /// applied directly to the dispatch path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AgentResponse {
     /// Strategy downgrade: spend `cost_scale` (< 1.0) of the nominal work
     /// per message — the service-ladder level that fits the capacity
@@ -491,7 +490,7 @@ impl BudgetAgent for LoopBudgetAgent {
 /// Fault-injection seam for the negotiation mutation engine
 /// (EXPERIMENTS.md E20): each variant is a plausible implementation bug
 /// the adversarial harness must kill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NegotiatorMutation {
     /// A greedy agent inflates its request tenfold before arbitration —
     /// the first agent in arbitration order lies about demand and floor.
@@ -525,7 +524,7 @@ impl NegotiatorMutation {
 
 /// The outcome of one arbitration epoch: grants, audited denials, and the
 /// inputs they were derived from. Byte-identically fingerprintable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NegotiationOutcome {
     /// The epoch this outcome belongs to.
     pub epoch: u64,

@@ -7,7 +7,6 @@
 //! nonlinear software plant.
 
 use crate::Controller;
-use serde::{Deserialize, Serialize};
 
 /// Proportional–integral–derivative controller.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let u = pid.update(5.0, 0.1); // error = 5, dt = 0.1 s
 /// assert!(u > 0.0 && u <= 10.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PidController {
     kp: f64,
     ki: f64,

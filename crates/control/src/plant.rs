@@ -9,7 +9,6 @@
 //!   saturation, dead time. This is where the paper claims classical
 //!   formalisms stop fitting (experiment E8).
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A process controlled by a scalar input, observed as a scalar output.
@@ -23,7 +22,7 @@ pub trait Plant {
 }
 
 /// First-order lag: `tau * dy/dt = gain * u - y`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FirstOrderLag {
     gain: f64,
     tau: f64,
@@ -63,7 +62,7 @@ impl Plant for FirstOrderLag {
 /// Nonlinearities: service rate `capacity * u / (u + knee)` (diminishing
 /// returns), queue length clamped at zero (one-sided saturation), and a
 /// measurement delay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftwareQueue {
     capacity: f64,
     knee: f64,

@@ -8,10 +8,9 @@
 
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Which side of the limit is compliant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bound {
     /// Values at or below the limit comply (e.g. latency).
     UpperBound,
@@ -20,7 +19,7 @@ pub enum Bound {
 }
 
 /// A contracted bound on one metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QosContract {
     /// Metric name (e.g. `"latency_ms"`).
     pub metric: String,
@@ -88,7 +87,7 @@ impl fmt::Display for QosContract {
 /// t.sample(SimTime::from_secs(15), 60.0);  // back in contract
 /// assert!((t.violation_fraction() - 5.0 / 15.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComplianceTracker {
     contract: QosContract,
     observed: SimDuration,
@@ -183,7 +182,7 @@ impl ComplianceTracker {
 }
 
 /// One service level on a degradation ladder (e.g. a codec profile).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceLevel {
     /// Level name (e.g. `"1080p"`).
     pub name: String,
@@ -222,7 +221,7 @@ impl ServiceLevel {
 /// ladder.adjust(-1);
 /// assert_eq!(ladder.current().name, "480p");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceLadder {
     levels: Vec<ServiceLevel>,
     current: usize,

@@ -15,11 +15,10 @@
 //! replayable byte-for-byte: same model + same requests = same grants.
 
 use aas_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What the coordinator knows about one budget agent's recent behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentObservation {
     /// Node currently hosting the agent.
     pub node: u32,
@@ -52,7 +51,7 @@ impl AgentObservation {
 }
 
 /// What the coordinator knows about one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSituation {
     /// Whether the node is up.
     pub up: bool,
@@ -86,7 +85,7 @@ impl NodeSituation {
 /// All collections are `BTreeMap`s so iteration order — and therefore
 /// everything derived from the model, including grant fingerprints — is
 /// deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SituationalModel {
     /// When the model was assembled.
     pub observed_at: SimTime,

@@ -6,7 +6,6 @@
 //! exactly what experiments E4/E8 quantify against PID and fuzzy control.
 
 use crate::Controller;
-use serde::{Deserialize, Serialize};
 
 /// Bang-bang controller with a hysteresis band.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.update(5.0, 0.1), 1.0);  // above: step up
 /// assert_eq!(t.update(-9.0, 0.1), -1.0); // below: step down
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdController {
     band: f64,
     step: f64,

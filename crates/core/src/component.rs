@@ -17,10 +17,9 @@ use crate::lts::Lts;
 use crate::message::{Message, Value};
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Unique identifier of a component instance within a runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComponentId(pub u64);
 
 impl fmt::Display for ComponentId {
@@ -35,7 +34,7 @@ impl fmt::Display for ComponentId {
 /// "reconfiguration points": a quiescing component finishes its in-flight
 /// work while new arrivals are held at its (blocked) channels; once
 /// drained, it is quiescent and can be safely changed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lifecycle {
     /// Processing messages normally.
     Active,
@@ -79,7 +78,7 @@ impl fmt::Display for Lifecycle {
 /// assert_eq!(snap.field("count").and_then(Value::as_int), Some(42));
 /// assert!(snap.transfer_size() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateSnapshot {
     /// The component type that produced the snapshot.
     pub type_name: String,

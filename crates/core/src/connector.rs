@@ -18,10 +18,9 @@ use crate::message::{Message, SequenceTracker};
 use aas_sim::stats::{Histogram, Summary};
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Unique identifier of a connector instance within a runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnectorId(pub u64);
 
 impl fmt::Display for ConnectorId {
@@ -31,7 +30,7 @@ impl fmt::Display for ConnectorId {
 }
 
 /// How a connector distributes messages among its bound targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingPolicy {
     /// Always the first (usually only) target.
     #[default]
@@ -47,7 +46,7 @@ pub enum RoutingPolicy {
 /// Aspects are the crosscutting concerns of the paper's §2: behaviour that
 /// "cannot be encapsulated by a single component" and is instead attached
 /// to the interaction itself.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConnectorAspect {
     /// Counts and remembers the last operation seen.
     Logging,
@@ -89,7 +88,7 @@ impl ConnectorAspect {
 /// A dropped delivery is re-sent after `base_delay`, then again after
 /// `base_delay * multiplier`, and so on, up to `max_attempts` total
 /// attempts — classic capped exponential backoff, in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total send attempts (the initial send counts as the first).
     pub max_attempts: u32,
@@ -128,7 +127,7 @@ impl RetryPolicy {
 }
 
 /// Declarative description of a connector; the unit of interchange.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnectorSpec {
     /// Connector name (unique within a configuration).
     pub name: String,

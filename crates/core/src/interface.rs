@@ -8,13 +8,12 @@
 //! least what they used to and return types that promise no less.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Dynamic type tags for operation parameters and results.
 ///
 /// `Any` accepts every value; it is the top of the small subtype lattice
 /// used by compatibility checking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TypeTag {
     /// No value / unit.
     Unit,
@@ -65,7 +64,7 @@ impl fmt::Display for TypeTag {
 }
 
 /// One provided operation: a name, parameter types and a result type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
     /// Operation name.
     pub name: String,
@@ -122,7 +121,7 @@ impl fmt::Display for Signature {
 }
 
 /// A named set of provided operations with a version number.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Interface {
     /// Interface name.
     pub name: String,

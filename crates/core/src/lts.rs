@@ -8,15 +8,14 @@
 //! a protocol at run time.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Index of a state within one LTS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub usize);
 
 /// Direction of a transition label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Dir {
     /// The process emits the action (CSP `!`).
     Send,
@@ -27,7 +26,7 @@ pub enum Dir {
 }
 
 /// A transition label: an action name plus a direction.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label {
     /// Action name; the synchronization key in products.
     pub action: String,
@@ -86,7 +85,7 @@ impl fmt::Display for Label {
 }
 
 /// One transition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transition {
     /// Source state.
     pub from: StateId,
@@ -113,7 +112,7 @@ pub struct Transition {
 /// client.add_transition(wait, Label::recv("rep"), idle);
 /// assert!(client.deadlock_states().is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lts {
     name: String,
     states: Vec<String>,

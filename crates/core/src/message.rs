@@ -7,7 +7,6 @@
 
 use aas_sim::time::SimTime;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A dynamically-typed payload value.
@@ -26,7 +25,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(v.get("user").and_then(Value::as_str), Some("ada"));
 /// assert_eq!(v.get("age").and_then(Value::as_int), Some(36));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     /// The absence of a value.
     #[default]
@@ -196,7 +195,7 @@ impl fmt::Display for Value {
 }
 
 /// Unique identifier of a message within a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub u64);
 
 impl fmt::Display for MessageId {
@@ -206,7 +205,7 @@ impl fmt::Display for MessageId {
 }
 
 /// Kinds of messages a component can receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// A request expecting processing (and possibly a reply).
     Request,
@@ -217,7 +216,7 @@ pub enum MessageKind {
 }
 
 /// A message traveling between component ports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Unique id.
     pub id: MessageId,

@@ -163,13 +163,7 @@ impl Runtime {
             self.maybe_retry(env, now);
             return;
         };
-        // Successful hand-off: attribute the delivery to the logical shard
-        // of the hosting node so per-shard totals reconcile with the
-        // global counter by construction (exactly one shard bump each).
-        self.shard_map.extend_to(node.0 as usize + 1);
-        let shard = self.shard_map.shard_of(node).0 as usize;
         self.m.delivered.incr();
-        self.m.delivered_by_shard[shard].incr();
         let inst = self.instances.get_mut(&env.to_instance).expect("checked");
         inst.inflight += 1;
         let instance = env.to_instance.clone();

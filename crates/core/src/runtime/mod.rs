@@ -75,7 +75,6 @@ use aas_sim::fault::FaultKind;
 use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
-use aas_sim::shard::ShardMap;
 use aas_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -300,9 +299,6 @@ pub struct Runtime {
     outbox: Vec<(SimTime, Message)>,
     obs: Obs,
     m: MetricHandles,
-    /// Logical partition of nodes used to attribute deliveries to shards
-    /// (mirrors the sharded kernel's round-robin placement).
-    shard_map: ShardMap,
 }
 
 impl Runtime {
@@ -323,7 +319,6 @@ impl Runtime {
         obs: Obs,
     ) -> Self {
         let m = MetricHandles::new(&obs);
-        let shard_map = ShardMap::round_robin(topology.node_count(), 1);
         let mut kernel = Kernel::new(topology, seed);
         kernel.set_tracer(obs.tracer.clone());
         Runtime {
@@ -353,30 +348,7 @@ impl Runtime {
             outbox: Vec::new(),
             obs,
             m,
-            shard_map,
         }
-    }
-
-    /// Partitions delivery accounting into `shards` logical shards
-    /// (round-robin by node id, the same placement
-    /// [`aas_sim::coordinator::ShardedKernel`] uses), registering one
-    /// `runtime.delivered.shard{i}` counter per shard. Deliveries recorded
-    /// from then on bump exactly one shard counter alongside
-    /// `runtime.delivered`, so Σ per-shard always reconciles with the
-    /// global total. Call before injecting traffic for an exact breakdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn set_shard_count(&mut self, shards: u32) {
-        self.shard_map = ShardMap::round_robin(self.kernel.topology().node_count(), shards);
-        self.m = MetricHandles::with_shards(&self.obs, shards);
-    }
-
-    /// The logical node→shard partition delivery accounting uses.
-    #[must_use]
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
     }
     // ------------------------------------------------------------------
     // Workload
@@ -540,12 +512,6 @@ impl Runtime {
             e2e_latency: self.m.e2e_latency.snapshot(),
             rtt: self.m.rtt.snapshot(),
             delivered: self.m.delivered.get(),
-            delivered_by_shard: self
-                .m
-                .delivered_by_shard
-                .iter()
-                .map(aas_obs::Counter::get)
-                .collect(),
             unrouted: self.m.unrouted.get(),
             dropped: self.m.dropped.get(),
             handler_errors: self.m.handler_errors.get(),

@@ -125,7 +125,7 @@ impl Runtime {
         let obs = Obs::new();
         let mut kernel = self.kernel.fork();
         kernel.set_tracer(obs.tracer.clone());
-        let m = MetricHandles::with_shards(&obs, self.shard_map.count());
+        let m = MetricHandles::new(&obs);
         let mut instances = BTreeMap::new();
         for (name, inst) in &self.instances {
             let mut component = self
@@ -192,7 +192,6 @@ impl Runtime {
             outbox: Vec::new(),
             obs,
             m,
-            shard_map: self.shard_map.clone(),
             twin: TwinState::default(),
         })
     }

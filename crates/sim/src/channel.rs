@@ -10,11 +10,10 @@
 use crate::node::NodeId;
 use crate::time::SimTime;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Identifier of a kernel channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub u64);
 
 impl fmt::Display for ChannelId {
@@ -24,7 +23,7 @@ impl fmt::Display for ChannelId {
 }
 
 /// Why a send or delivery failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// No live route between the channel's endpoints at send time.
     Unreachable,
@@ -54,7 +53,7 @@ pub(crate) struct HeldMessage<M> {
 }
 
 /// Per-channel delivery statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Messages accepted by `send`.
     pub sent: u64,

@@ -9,22 +9,21 @@
 //!
 //! ## Barrier protocol
 //!
-//! Time advances in *outer windows* `[tq, W)` where `tq` is the earliest
-//! pending event anywhere. Each outer window is executed as a sequence of
-//! *sub-rounds* at most one lookahead wide: the lookahead `la` is the
-//! minimum latency over cross-shard links ([`ShardMap::lookahead`]), so
-//! an event at time `t ≥ b` that sends across shards produces an arrival
-//! no earlier than `t + la ≥ b + la` — a sub-round `[b, b + la)` can run
-//! with no mid-round exchange. Between sub-rounds the shards exchange
-//! their SoA mailbox batches *directly* (each worker deposits into the
-//! destination's shared inbox slot and waits on an atomic sub-barrier);
-//! the coordinator only participates once per outer window, where the
-//! serialized work lives: the K-way merge of the fired runs, metric
-//! flushes and clock advance. Under [`WindowPolicy::Adaptive`] (the
-//! default) the outer width grows geometrically while windows stay clean
-//! and is additionally widened to the provable cross-shard arrival bound
-//! (`ShardCore::arrival_bound`), so phases with no pending sends collapse
-//! to a single round.
+//! Time advances in *windows* `[tq, tq + la)`, where `tq` is the earliest
+//! pending event anywhere and the lookahead `la` is the minimum latency
+//! over cross-shard links ([`ShardMap::lookahead`]). An event at time
+//! `t ≥ tq` that sends across shards produces an arrival no earlier than
+//! `t + la ≥ tq + la`, so a window needs no mid-window exchange. Windows
+//! are clipped by the next sync point and the run limit.
+//!
+//! Each shard runs the window over its own queue and leaves cross-shard
+//! deliveries in per-destination SoA outbox batches. At the barrier the
+//! coordinator, which locks every core anyway for the K-way merge of the
+//! fired runs, the metric flush and the clock advance, moves whole
+//! outbox batches into the destination core's inbox. The destination
+//! drains its inbox into its queue at the start of its next window, so
+//! everything a shard sees during a window was fixed at the preceding
+//! barrier, independently of thread timing.
 //!
 //! ## Determinism
 //!
@@ -50,12 +49,12 @@ use crate::link::LinkId;
 use crate::network::{RouteCacheStats, Topology};
 use crate::node::NodeId;
 use crate::shard::{
-    CacheAligned, DeliverBatch, DeliverSide, Entry, EventKey, InboxSlot, MergedEvent, SendSide,
-    ShardCore, ShardEvent, ShardFired, ShardId, ShardMap,
+    CacheAligned, DeliverBatch, DeliverSide, Entry, EventKey, MergedEvent, SendSide, ShardCore,
+    ShardEvent, ShardFired, ShardId, ShardMap,
 };
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -74,28 +73,6 @@ pub enum ExecMode {
     Threads,
 }
 
-/// How outer windows are sized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WindowPolicy {
-    /// Every window is exactly one lookahead wide (`[tq, tq + la)`), one
-    /// coordinator barrier per lookahead — the legacy PR-5 behavior, kept
-    /// as the before-side of E19's before/after comparison.
-    Fixed,
-    /// Outer windows widen geometrically (×2 per clean window, halved
-    /// when a window is clipped by a sync point or the run limit, capped
-    /// at 2^[`MAX_WIDEN_LOG2`]) and are additionally extended to the
-    /// provable cross-shard arrival bound. Sub-rounds inside the window
-    /// still advance one lookahead at a time, so the static safety
-    /// argument is untouched.
-    #[default]
-    Adaptive,
-}
-
-/// Cap on the geometric widening exponent: an outer window spans at most
-/// `2^MAX_WIDEN_LOG2` lookaheads (bounds per-window buffering and keeps
-/// the kernel responsive to `run_until` limits).
-pub const MAX_WIDEN_LOG2: u32 = 6;
-
 /// Shared state between the coordinator and the workers.
 struct Shared<M> {
     /// Topology + shard map; workers take read locks for the duration of
@@ -108,12 +85,6 @@ struct Shared<M> {
     /// owning worker, and sharing a line with a neighbor would turn every
     /// bump into cross-core traffic.
     shards: Vec<CacheAligned<Mutex<ShardCore<M>>>>,
-    /// Per-shard shared mailboxes, separate from the cores so peers can
-    /// deposit batches during the exchange phase while every core is
-    /// locked by its own worker. Inbox locks are only ever taken while
-    /// holding one's *own* core lock (never a peer's core), so the
-    /// protocol is deadlock-free by lock-order.
-    inboxes: Vec<CacheAligned<Mutex<InboxSlot<M>>>>,
     barrier: BarrierCtl,
 }
 
@@ -122,33 +93,21 @@ struct World {
     map: ShardMap,
 }
 
-/// The spin-then-park barrier replacing the old `Mutex<Ctrl>` + `Condvar`
-/// generation handshake: one atomic epoch bump publishes a window, one
-/// atomic add per worker reports completion, and everyone spins briefly
-/// before parking — the fast path makes no syscall at all.
+/// The spin-then-park window handshake: one atomic epoch bump publishes
+/// a window, one atomic add per worker reports completion, and everyone
+/// spins briefly before parking — the fast path makes no syscall at all.
 ///
 /// Every hot atomic lives on its own cache line (asserted by a unit
 /// test): `epoch` is written by the coordinator and spun on by K workers,
-/// `done` is contended by workers finishing, and the sub-barrier pair
-/// churns once per sub-round.
+/// `done` is contended by workers finishing.
 struct BarrierCtl {
-    /// Bumped once per outer window; workers run exactly one outer window
-    /// (all of its sub-rounds) per bump. The bump `Release`-publishes the
-    /// window parameters below.
+    /// Bumped once per window; workers run exactly one window per bump.
+    /// The bump `Release`-publishes `end`.
     epoch: CacheAligned<AtomicU64>,
-    /// Workers done with the current outer window.
+    /// Workers done with the current window.
     done: CacheAligned<AtomicU32>,
-    /// Sub-barrier arrival counter (sense-reversing, reset by the last
-    /// arriver).
-    sub_arrived: CacheAligned<AtomicU32>,
-    /// Sub-barrier generation; bumped by the last arriver of each
-    /// sub-round.
-    sub_epoch: CacheAligned<AtomicU64>,
-    /// Current window parameters, raw micros; written by the coordinator
-    /// before the epoch bump that publishes them.
-    tq: CacheAligned<AtomicU64>,
-    la: CacheAligned<AtomicU64>,
-    bound: CacheAligned<AtomicU64>,
+    /// Current window end, raw micros; written by the coordinator before
+    /// the epoch bump that publishes it.
     end: CacheAligned<AtomicU64>,
     shutdown: AtomicBool,
     /// Per-worker "I am parked" flags (Dekker pairing with the epoch
@@ -165,104 +124,12 @@ impl BarrierCtl {
         BarrierCtl {
             epoch: CacheAligned(AtomicU64::new(0)),
             done: CacheAligned(AtomicU32::new(0)),
-            sub_arrived: CacheAligned(AtomicU32::new(0)),
-            sub_epoch: CacheAligned(AtomicU64::new(0)),
-            tq: CacheAligned(AtomicU64::new(0)),
-            la: CacheAligned(AtomicU64::new(0)),
-            bound: CacheAligned(AtomicU64::new(0)),
             end: CacheAligned(AtomicU64::new(0)),
             shutdown: AtomicBool::new(false),
             parked: (0..shards)
                 .map(|_| CacheAligned(AtomicBool::new(false)))
                 .collect(),
             coord: Mutex::new(None),
-        }
-    }
-}
-
-/// End of the sub-round starting at `b`: one lookahead forward, skipping
-/// straight to the provable arrival `bound` when it is further (nothing
-/// can land in `[b + la, bound)`), clamped to the outer window end.
-fn next_round_end(b: SimTime, la: SimDuration, bound: SimTime, w_end: SimTime) -> SimTime {
-    if la == SimDuration::MAX {
-        return w_end;
-    }
-    w_end.min((b + la).max(bound))
-}
-
-/// Moves every deposited batch from this shard's shared inbox into its
-/// queue, recycling spent buffers into the core's free list. `scratch` is
-/// a reusable vector so the inbox lock is held only for two pointer
-/// swaps.
-fn drain_shared_inbox<M>(
-    slot: &CacheAligned<Mutex<InboxSlot<M>>>,
-    core: &mut ShardCore<M>,
-    scratch: &mut Vec<DeliverBatch<M>>,
-) {
-    {
-        let mut s = slot.0.lock().expect("inbox lock");
-        if s.batches.is_empty() {
-            return;
-        }
-        std::mem::swap(&mut s.batches, scratch);
-        s.min_at = SimTime::MAX;
-    }
-    for mut b in scratch.drain(..) {
-        b.drain_into(&mut core.queue);
-        core.free.push(b);
-    }
-}
-
-/// Exchange phase of one sub-round: deposits every non-empty outbox batch
-/// into the destination shard's shared inbox as a whole-buffer move
-/// (O(runs), not O(events)), replacing it from the free list, and checks
-/// the "nothing crosses a barrier early" invariant against the sub-round
-/// end.
-fn flush_outboxes<M>(
-    core: &mut ShardCore<M>,
-    inboxes: &[CacheAligned<Mutex<InboxSlot<M>>>],
-    end: SimTime,
-) {
-    let me = core.id as usize;
-    for (d, slot) in inboxes.iter().enumerate() {
-        if d == me || core.outboxes[d].is_empty() {
-            continue;
-        }
-        let repl = core.free.pop().unwrap_or_default();
-        let batch = std::mem::replace(&mut core.outboxes[d], repl);
-        core.exchanged_out += batch.len() as u64;
-        core.exchange_ops += 1;
-        if batch.min_at < end {
-            core.early_crossings += batch.len() as u64;
-        }
-        let mut s = slot.0.lock().expect("inbox lock");
-        s.min_at = s.min_at.min(batch.min_at);
-        s.batches.push(batch);
-    }
-}
-
-/// Sense-reversing barrier between sub-rounds: every shard must deposit
-/// its round-r batches before any shard drains its inbox for round r+1.
-/// Spins briefly, then yields, then parks with a timeout (no wakeup
-/// needed — the timeout bounds the oversleep and the spin/yield phases
-/// catch the common case).
-fn sub_barrier_wait(bar: &BarrierCtl, k: u32) {
-    let gen = bar.sub_epoch.0.load(AtomicOrd::Acquire);
-    if bar.sub_arrived.0.fetch_add(1, AtomicOrd::AcqRel) + 1 == k {
-        bar.sub_arrived.0.store(0, AtomicOrd::Relaxed);
-        bar.sub_epoch.0.fetch_add(1, AtomicOrd::Release);
-        return;
-    }
-    let mut spins = 0u32;
-    while bar.sub_epoch.0.load(AtomicOrd::Acquire) == gen {
-        if spins < 512 {
-            spins += 1;
-            std::hint::spin_loop();
-        } else if spins < 576 {
-            spins += 1;
-            std::thread::yield_now();
-        } else {
-            std::thread::park_timeout(Duration::from_micros(100));
         }
     }
 }
@@ -309,17 +176,9 @@ impl Ord for SyncEntry {
 /// Execution statistics of a [`ShardedKernel`] run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardedStats {
-    /// Outer windows executed — one coordinator barrier (serial merge +
-    /// metric flush) each. This is the synchronization-tax unit adaptive
-    /// widening attacks.
+    /// Windows executed — one coordinator barrier (exchange, serial
+    /// merge, metric flush) each.
     pub windows: u64,
-    /// Lookahead-wide sub-rounds executed inside outer windows (each ends
-    /// in a worker-to-worker batch exchange over an atomic sub-barrier,
-    /// with no coordinator involvement). Always ≥ `windows`; equal under
-    /// [`WindowPolicy::Fixed`].
-    pub subrounds: u64,
-    /// Outer windows that were wider than one lookahead (adaptive gain).
-    pub widened_windows: u64,
     /// Sequential sync steps executed.
     pub sync_steps: u64,
     /// Cross-shard entries exchanged at barriers.
@@ -342,9 +201,9 @@ pub struct ShardedStats {
     /// Coordinator-serial nanoseconds (barriers, merges, sync steps) —
     /// the Amdahl term that bounds scaling.
     pub serial_ns: u64,
-    /// The barrier-only part of `serial_ns` (merge + flush at outer
-    /// windows, excluding sync steps); `barrier_ns / windows` is the E19
-    /// microbench's ns-per-window figure.
+    /// The barrier-only part of `serial_ns` (exchange + merge + flush at
+    /// windows, excluding sync steps); `barrier_ns / windows` is E15's
+    /// ns-per-window figure.
     pub barrier_ns: u64,
 }
 
@@ -401,17 +260,11 @@ pub struct ShardedKernel<M: Send + 'static> {
     /// Counters owned by the coordinator (released, faults applied).
     coord_counters: [u64; KernelCounter::COUNT],
     stats: ShardedStats,
-    policy: WindowPolicy,
-    /// Current geometric widening exponent (outer window target width is
-    /// `la << widen_log2`).
-    widen_log2: u32,
     /// Cached `world.lookahead` (static after construction).
     la: SimDuration,
-    /// Sum of per-core `early_crossings` at the last barrier, for the
-    /// per-window delta the adaptive policy keys on.
-    prev_early: u64,
-    /// Reusable batch scratch for inline-mode inbox drains.
-    inline_scratch: Vec<DeliverBatch<M>>,
+    /// Outbox batches in transit at a barrier, per destination shard;
+    /// reused every window so the exchange allocates nothing once warm.
+    transit: Vec<Vec<DeliverBatch<M>>>,
     /// Last flushed busy_ns per shard (to compute per-window deltas).
     prev_busy: Vec<u64>,
     /// Reusable K-way merge buffers (swapped with shard `fired` deques).
@@ -507,9 +360,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
         let shared = Arc::new(Shared {
             world: RwLock::new(World { topo, map }),
             shards: cores,
-            inboxes: (0..shards)
-                .map(|_| CacheAligned(Mutex::new(InboxSlot::default())))
-                .collect(),
             barrier: BarrierCtl::new(shards),
         });
         let workers = if mode == ExecMode::Threads {
@@ -542,11 +392,8 @@ impl<M: Send + 'static> ShardedKernel<M> {
             dir: Vec::new(),
             coord_counters: [0; KernelCounter::COUNT],
             stats: ShardedStats::default(),
-            policy: WindowPolicy::default(),
-            widen_log2: 0,
             la: lookahead,
-            prev_early: 0,
-            inline_scratch: Vec::new(),
+            transit: (0..shards).map(|_| Vec::new()).collect(),
             prev_busy: vec![0; shards as usize],
             merge_bufs: (0..shards).map(|_| VecDeque::new()).collect(),
             fired_peak: vec![0; shards as usize],
@@ -629,21 +476,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
             key: EventKey::new(cmd, 0),
             ev: ShardEvent::SendCmd { ch, msg, size },
         });
-        core.send_times.push(Reverse(at));
-    }
-
-    /// Selects how outer windows are sized (default:
-    /// [`WindowPolicy::Adaptive`]). The merged occurrence stream is
-    /// byte-identical under either policy — only the window/sub-round
-    /// schedule changes (see `tests/barrier_model.rs`).
-    pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        self.policy = policy;
-    }
-
-    /// The current window-sizing policy.
-    #[must_use]
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.policy
     }
 
     /// Schedules a timer at `at`; returns the tag the eventual
@@ -753,23 +585,13 @@ impl<M: Send + 'static> ShardedKernel<M> {
             *self.shared.barrier.coord.lock().expect("coord slot") = Some(std::thread::current());
         }
         loop {
-            let shared = Arc::clone(&self.shared);
-            let la = self.la;
-            let (tq, bound) = {
-                let mut tq = SimTime::MAX;
-                let mut bound = SimTime::MAX;
-                for m in &shared.shards {
-                    let core = m.0.lock().expect("shard lock");
-                    tq = tq.min(core.next_pending());
-                    if la < SimDuration::MAX {
-                        bound = bound.min(core.arrival_bound(la));
-                    }
-                }
-                for slot in &shared.inboxes {
-                    tq = tq.min(slot.0.lock().expect("inbox lock").min_at);
-                }
-                (tq, bound)
-            };
+            let tq = self
+                .shared
+                .shards
+                .iter()
+                .map(|m| m.0.lock().expect("shard lock").next_pending())
+                .min()
+                .unwrap_or(SimTime::MAX);
             let ts = self.sync.peek().map_or(SimTime::MAX, |e| e.at);
             let t = tq.min(ts);
             if t == SimTime::MAX || t > limit {
@@ -779,48 +601,20 @@ impl<M: Send + 'static> ShardedKernel<M> {
                 self.sync_step(ts, out);
                 continue;
             }
-            // Outer window [tq, w_end): bounded by the next sync point and
-            // the caller's limit; when any link crosses shards, the target
-            // width is policy-controlled (one lookahead under Fixed, a
-            // geometric multiple — or the provable arrival bound, if
-            // further — under Adaptive).
-            let hard = ts.min(limit + SimDuration::from_micros(1));
-            let mut clipped = false;
-            let w_end = if la == SimDuration::MAX {
-                hard
-            } else {
-                let target = match self.policy {
-                    WindowPolicy::Fixed => tq + la,
-                    WindowPolicy::Adaptive => (tq + la * (1u64 << self.widen_log2)).max(bound),
-                };
-                clipped = target > hard;
-                hard.min(target)
-            };
+            // Window [tq, w_end): one lookahead, clipped by the next sync
+            // point and the caller's limit (unbounded when no link crosses
+            // shards; the additions saturate).
+            let w_end = (tq + self.la)
+                .min(ts)
+                .min(limit + SimDuration::from_micros(1));
             if w_end <= tq {
                 // Degenerate (zero-latency cross-shard link): fall back to
                 // sequential processing of this instant.
                 self.sync_step(tq, out);
                 continue;
             }
-            self.dispatch_window(tq, la, bound, w_end);
-            let window_early = self.barrier_merge(out);
-            if self.policy == WindowPolicy::Adaptive && la < SimDuration::MAX {
-                if w_end > tq + la {
-                    self.stats.widened_windows += 1;
-                }
-                // Widen geometrically while windows close cleanly; back
-                // off when the target overshot a sync point or the run
-                // limit (dense sync phases want narrow windows). An early
-                // crossing can't happen (the bound is provable) but would
-                // snap the width back to one lookahead if it ever did.
-                if window_early > 0 {
-                    self.widen_log2 = 0;
-                } else if clipped {
-                    self.widen_log2 = self.widen_log2.saturating_sub(1);
-                } else {
-                    self.widen_log2 = (self.widen_log2 + 1).min(MAX_WIDEN_LOG2);
-                }
-            }
+            self.dispatch_window(w_end);
+            self.barrier_merge(w_end, out);
         }
         if limit < SimTime::MAX {
             self.now = self.now.max(limit);
@@ -839,28 +633,20 @@ impl<M: Send + 'static> ShardedKernel<M> {
         self.run_until_into(SimTime::MAX, out);
     }
 
-    /// Executes one outer window `[tq, w_end)` as lookahead-wide
-    /// sub-rounds with direct worker-to-worker exchange between them.
-    fn dispatch_window(&mut self, tq: SimTime, la: SimDuration, bound: SimTime, w_end: SimTime) {
-        // Count sub-rounds (same boundary walk the workers do).
-        let mut b = tq;
-        loop {
-            self.stats.subrounds += 1;
-            let end = next_round_end(b, la, bound, w_end);
-            if end >= w_end {
-                break;
-            }
-            b = end;
-        }
+    /// Executes one window ending at `w_end` on every shard.
+    fn dispatch_window(&mut self, w_end: SimTime) {
         match self.mode {
-            ExecMode::Inline => self.run_rounds_inline(tq, la, bound, w_end),
+            ExecMode::Inline => {
+                let world = self.shared.world.read().expect("world lock");
+                for m in &self.shared.shards {
+                    let mut core = m.0.lock().expect("shard lock");
+                    core.run_window(&world.topo, &world.map, w_end);
+                }
+            }
             ExecMode::Threads => {
                 let bar = &self.shared.barrier;
-                bar.tq.0.store(tq.as_micros(), AtomicOrd::Relaxed);
-                bar.la.0.store(la.as_micros(), AtomicOrd::Relaxed);
-                bar.bound.0.store(bound.as_micros(), AtomicOrd::Relaxed);
                 bar.end.0.store(w_end.as_micros(), AtomicOrd::Relaxed);
-                // The SeqCst bump publishes the parameters and pairs with
+                // The SeqCst bump publishes the window end and pairs with
                 // the workers' parked-flag protocol (Dekker): we bump,
                 // then check flags; they set the flag, then re-check the
                 // epoch.
@@ -888,47 +674,22 @@ impl<M: Send + 'static> ShardedKernel<M> {
         }
     }
 
-    /// Inline-mode outer window: the same sub-round/exchange schedule the
-    /// workers run, executed shard-by-shard on the caller's thread.
-    fn run_rounds_inline(&mut self, tq: SimTime, la: SimDuration, bound: SimTime, w_end: SimTime) {
-        let shared = Arc::clone(&self.shared);
-        let world = shared.world.read().expect("world lock");
-        let mut scratch = std::mem::take(&mut self.inline_scratch);
-        let mut b = tq;
-        loop {
-            let end = next_round_end(b, la, bound, w_end);
-            for (i, m) in shared.shards.iter().enumerate() {
-                let mut core = m.0.lock().expect("shard lock");
-                drain_shared_inbox(&shared.inboxes[i], &mut core, &mut scratch);
-                core.run_window(&world.topo, &world.map, end);
-                flush_outboxes(&mut core, &shared.inboxes, end);
-            }
-            if end >= w_end {
-                break;
-            }
-            b = end;
-        }
-        self.inline_scratch = scratch;
-    }
-
-    /// Coordinator barrier at the end of an outer window: collect the
-    /// per-shard fired runs, flush metrics, advance the clock, K-way
-    /// merge. Exchange already happened shard-to-shard at sub-round ends.
-    /// Returns the number of early crossings recorded this window (the
-    /// adaptive policy's back-off signal).
-    fn barrier_merge(&mut self, out: &mut Vec<MergedEvent<M>>) -> u64 {
+    /// Coordinator barrier at the end of the window ending at `w_end`:
+    /// collect the per-shard fired runs, flush metrics, advance the clock,
+    /// move every outbox batch into its destination's inbox (checking
+    /// that none arrives inside the window that produced it) and K-way
+    /// merge the fired runs.
+    fn barrier_merge(&mut self, w_end: SimTime, out: &mut Vec<MergedEvent<M>>) {
         let t0 = Instant::now();
         self.stats.windows += 1;
         let shared = Arc::clone(&self.shared);
         let mut max_busy = 0u64;
-        let mut early_total = 0u64;
         for (i, m) in shared.shards.iter().enumerate() {
             let mut core = m.0.lock().expect("shard lock");
             let delta = core.busy_ns - self.prev_busy[i];
             self.prev_busy[i] = core.busy_ns;
             max_busy = max_busy.max(delta);
             self.now = self.now.max(core.last_at);
-            early_total += core.early_crossings;
             std::mem::swap(&mut self.merge_bufs[i], &mut core.fired);
             // Capacity handback: the deque handed back may be the one
             // that missed the widest window so far; reserve it to the
@@ -948,14 +709,31 @@ impl<M: Send + 'static> ShardedKernel<M> {
                     self.metrics_dirty = true;
                 }
             }
+            // Whole-buffer exchange: each non-empty outbox moves out
+            // (O(runs), not O(events)), replaced from the free list.
+            for (d, transit) in self.transit.iter_mut().enumerate() {
+                if d == i || core.outboxes[d].is_empty() {
+                    continue;
+                }
+                let repl = core.free.pop().unwrap_or_default();
+                let batch = std::mem::replace(&mut core.outboxes[d], repl);
+                self.stats.exchanged += batch.len() as u64;
+                self.stats.exchange_ops += 1;
+                if batch.min_at < w_end {
+                    self.stats.early_crossings += batch.len() as u64;
+                }
+                transit.push(batch);
+            }
+        }
+        for (m, transit) in shared.shards.iter().zip(&mut self.transit) {
+            if !transit.is_empty() {
+                m.0.lock().expect("shard lock").inbox.append(transit);
+            }
         }
         self.stats.critical_ns += max_busy;
-        let window_early = early_total - self.prev_early;
-        self.prev_early = early_total;
-        // K-way merge of the per-shard runs (each already sorted — a
-        // shard's sub-rounds advance in time, so its concatenated window
-        // output stays sorted). Popping from the front of the persistent
-        // deques keeps this allocation-free.
+        // K-way merge of the per-shard runs (each already sorted: a shard
+        // pops its queue in (time, key) order). Popping from the front of
+        // the persistent deques keeps this allocation-free.
         loop {
             let mut best: Option<(usize, SimTime, EventKey)> = None;
             for (i, buf) in self.merge_bufs.iter().enumerate() {
@@ -975,7 +753,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
         let dt = t0.elapsed().as_nanos() as u64;
         self.stats.serial_ns += dt;
         self.stats.barrier_ns += dt;
-        window_early
     }
 
     /// A sequential step at instant `ts`: executes pending sync commands
@@ -994,16 +771,11 @@ impl<M: Send + 'static> ShardedKernel<M> {
             .map(|m| m.0.lock().expect("shard lock"))
             .collect();
         let k = cores.len();
-        // Pull everything still sitting in the shared inboxes into the
+        // Pull everything the last barrier left in the inboxes into the
         // queues so same-instant cross-shard events are visible to this
         // step's merge.
-        for (i, slot) in shared.inboxes.iter().enumerate() {
-            let mut s = slot.0.lock().expect("inbox lock");
-            for mut b in s.batches.drain(..) {
-                b.drain_into(&mut cores[i].queue);
-                cores[i].free.push(b);
-            }
-            s.min_at = SimTime::MAX;
+        for core in &mut cores {
+            core.drain_inbox();
         }
         loop {
             let mut best: Option<(usize, EventKey)> = None;
@@ -1125,12 +897,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
                                 ShardEvent::Timer { .. } => unreachable!("timers are channel-less"),
                             };
                             cores[dest].queue.push(e);
-                        }
-                        // Pending sends may have changed shards; the
-                        // send-time heaps (which drive adaptive window
-                        // bounds) must follow them.
-                        for idx in [ossh, odsh, nssh, ndsh] {
-                            cores[idx].rebuild_send_times();
                         }
                         self.dir[ch.0 as usize] = (ns, nd);
                     }
@@ -1325,9 +1091,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
             let core = m.0.lock().expect("shard lock");
             s.events += core.events_processed;
             s.overrun_events += core.overrun_events;
-            s.early_crossings += core.early_crossings;
-            s.exchanged += core.exchanged_out;
-            s.exchange_ops += core.exchange_ops;
         }
         s
     }
@@ -1460,12 +1223,11 @@ impl<M: Send + Clone + 'static> ShardedKernel<M> {
                 }
             }
         }
-        // In-transit deliveries still parked in the shared inboxes (the
-        // last exchange of a window deposits batches the owner has not
-        // drained yet) are pending events like any other.
-        for slot in &self.shared.inboxes {
-            let s = slot.0.lock().expect("inbox lock");
-            for b in &s.batches {
+        // In-transit deliveries still parked in the inboxes (the barrier
+        // deposits batches the owner drains only at its next window) are
+        // pending events like any other.
+        for core in &cores {
+            for b in &core.inbox {
                 for j in 0..b.len() {
                     pending.push((
                         b.ats[j],
@@ -1543,7 +1305,7 @@ impl<M: Send + Clone + 'static> ShardedKernel<M> {
     }
 }
 
-/// Spin-then-park wait for the next outer-window epoch. Returns `false`
+/// Spin-then-park wait for the next window epoch. Returns `false`
 /// on shutdown. The parked flag pairs with the coordinator's post-bump
 /// flag check (both SeqCst, Dekker-style): either the worker sees the new
 /// epoch on its re-check, or the coordinator sees the flag and unparks.
@@ -1585,33 +1347,15 @@ fn worker_loop<M: Send + 'static>(shared: &Shared<M>, idx: usize, hook: Option<f
     let bar = &shared.barrier;
     let k = shared.shards.len() as u32;
     let mut seen = 0u64;
-    let mut scratch: Vec<DeliverBatch<M>> = Vec::new();
     loop {
         if !wait_for_epoch(bar, idx, &mut seen) {
             return;
         }
-        let tq = SimTime::from_micros(bar.tq.0.load(AtomicOrd::Acquire));
-        let la = SimDuration::from_micros(bar.la.0.load(AtomicOrd::Acquire));
-        let bound = SimTime::from_micros(bar.bound.0.load(AtomicOrd::Acquire));
-        let w_end = SimTime::from_micros(bar.end.0.load(AtomicOrd::Acquire));
+        let end = SimTime::from_micros(bar.end.0.load(AtomicOrd::Acquire));
         {
             let world = shared.world.read().expect("world lock");
             let mut core = shared.shards[idx].0.lock().expect("shard lock");
-            // Every worker computes the identical sub-round boundary
-            // sequence from the published window parameters, so the
-            // sub-barrier count always matches.
-            let mut b = tq;
-            loop {
-                let end = next_round_end(b, la, bound, w_end);
-                drain_shared_inbox(&shared.inboxes[idx], &mut core, &mut scratch);
-                core.run_window(&world.topo, &world.map, end);
-                flush_outboxes(&mut core, &shared.inboxes, end);
-                if end >= w_end {
-                    break;
-                }
-                b = end;
-                sub_barrier_wait(bar, k);
-            }
+            core.run_window(&world.topo, &world.map, end);
         }
         if bar.done.0.fetch_add(1, AtomicOrd::AcqRel) + 1 == k {
             if let Some(t) = bar.coord.lock().expect("coord slot").as_ref() {
@@ -1629,8 +1373,7 @@ impl<M: Send + 'static> Drop for ShardedKernel<M> {
         // Order matters: publish shutdown, then bump the epoch so spinning
         // workers re-check, then unpark sleepers. No worker is mid-window
         // here (run_until always waits out the done barrier), so every
-        // worker is in `wait_for_epoch` and exits without touching the
-        // sub-barrier.
+        // worker is in `wait_for_epoch` and exits from there.
         self.shared.barrier.shutdown.store(true, AtomicOrd::SeqCst);
         self.shared.barrier.epoch.0.fetch_add(1, AtomicOrd::SeqCst);
         for w in &self.workers {
@@ -1784,9 +1527,8 @@ mod tests {
         assert_eq!(third.counter("kernel.delivered"), Some(10));
     }
 
-    /// The loom-free cache-line check from the issue: no two shards' hot
-    /// state (core mutex, inbox slot) and no two barrier atomics may
-    /// share a 64-byte line, so false sharing cannot couple the workers.
+    /// No two shards' core mutexes and no two barrier atomics may share
+    /// a 64-byte line, so false sharing cannot couple the workers.
     #[test]
     fn hot_fields_live_on_distinct_cache_lines() {
         let k: ShardedKernel<u32> = ShardedKernel::with_mode(
@@ -1798,14 +1540,10 @@ mod tests {
         for m in &k.shared.shards {
             lines.push(std::ptr::from_ref(m) as usize);
         }
-        for s in &k.shared.inboxes {
-            lines.push(std::ptr::from_ref(s) as usize);
-        }
         let bar = &k.shared.barrier;
         lines.push(std::ptr::from_ref(&bar.epoch) as usize);
         lines.push(std::ptr::from_ref(&bar.done) as usize);
-        lines.push(std::ptr::from_ref(&bar.sub_arrived) as usize);
-        lines.push(std::ptr::from_ref(&bar.sub_epoch) as usize);
+        lines.push(std::ptr::from_ref(&bar.end) as usize);
         for p in &bar.parked {
             lines.push(std::ptr::from_ref(p) as usize);
         }
@@ -1820,51 +1558,5 @@ mod tests {
             lines.len(),
             "two hot fields share a cache line"
         );
-    }
-
-    /// Quick cross-policy check (the 64-schedule property tier lives in
-    /// `tests/barrier_model.rs`): adaptive widening must change only the
-    /// barrier cadence, never the merged stream or the counters.
-    #[test]
-    fn adaptive_policy_matches_fixed_stream() {
-        let run = |mode: ExecMode, policy: WindowPolicy| {
-            let topo = Topology::clique(8, 100.0, SimDuration::from_millis(1), 1e6);
-            let mut k: ShardedKernel<u64> = ShardedKernel::with_mode(topo, 4, mode);
-            k.set_window_policy(policy);
-            let chans: Vec<_> = (0..8u32)
-                .map(|i| k.open_channel(NodeId(i), NodeId((i + 3) % 8)))
-                .collect();
-            for i in 0..400u64 {
-                k.send_at(
-                    SimTime::from_micros(i * 23),
-                    chans[(i % 8) as usize],
-                    i,
-                    256,
-                );
-            }
-            let ev: Vec<String> = k
-                .drain()
-                .iter()
-                .map(|e| format!("{} {} {:?}", e.at, e.key, e.what))
-                .collect();
-            (ev, k.counters(), k.stats())
-        };
-        let (fixed_ev, fixed_ct, fixed_stats) = run(ExecMode::Inline, WindowPolicy::Fixed);
-        for mode in [ExecMode::Inline, ExecMode::Threads] {
-            let (ev, ct, stats) = run(mode, WindowPolicy::Adaptive);
-            assert_eq!(fixed_ev, ev, "{mode:?}: adaptive changed the stream");
-            assert_eq!(
-                fixed_ct.iter().collect::<Vec<_>>(),
-                ct.iter().collect::<Vec<_>>()
-            );
-            assert!(
-                stats.windows < fixed_stats.windows,
-                "{mode:?}: widening did not reduce barriers \
-                 ({} vs fixed {})",
-                stats.windows,
-                fixed_stats.windows
-            );
-            assert_eq!(stats.early_crossings, 0);
-        }
     }
 }

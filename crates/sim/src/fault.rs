@@ -8,10 +8,9 @@ use crate::link::LinkId;
 use crate::node::NodeId;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A single fault (or recovery) applied to the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Node stops: jobs no longer run, messages to/from it are dropped.
     NodeCrash(NodeId),
@@ -38,7 +37,7 @@ pub enum FaultKind {
 /// s.at(SimTime::from_secs(20), FaultKind::NodeRecover(NodeId(2)));
 /// assert_eq!(s.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     entries: Vec<(SimTime, FaultKind)>,
 }
@@ -90,7 +89,7 @@ impl FaultSchedule {
 }
 
 /// One crash/recover (or flap) process attached to a single target.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct OutageProcess {
     /// Mean time between failures, in seconds (exponential).
     mtbf_secs: f64,
@@ -122,7 +121,7 @@ struct OutageProcess {
 /// assert!(!schedule.is_empty());
 /// assert_eq!(schedule.len() % 2, 0); // every crash is paired with a recover
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultProcess {
     nodes: Vec<(NodeId, OutageProcess)>,
     links: Vec<(LinkId, OutageProcess)>,

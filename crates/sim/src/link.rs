@@ -3,10 +3,9 @@
 use crate::node::NodeId;
 use crate::time::SimDuration;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a link in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 impl fmt::Display for LinkId {
@@ -16,7 +15,7 @@ impl fmt::Display for LinkId {
 }
 
 /// Static description of a bidirectional link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkSpec {
     /// One endpoint.
     pub a: NodeId,

@@ -8,10 +8,9 @@
 use crate::time::{SimDuration, SimTime};
 use crate::trace::ResourceTrace;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -21,7 +20,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Static description of a node, used when building a topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Human-readable name.
     pub name: String,

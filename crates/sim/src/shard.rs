@@ -21,7 +21,7 @@ use crate::link::LinkId;
 use crate::network::{RouteCache, RouteCacheStats, Topology};
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::time::Instant;
 
@@ -359,26 +359,6 @@ impl<M> DeliverBatch<M> {
     }
 }
 
-/// One shard's shared mailbox: batches pushed by other shards during the
-/// exchange phase, drained by the owner at the start of its next
-/// sub-round. Lives outside [`ShardCore`] (under its own lock) so peers
-/// can deposit batches while the owner's core is locked by its worker.
-#[derive(Debug)]
-pub(crate) struct InboxSlot<M> {
-    pub batches: Vec<DeliverBatch<M>>,
-    /// Earliest arrival over every queued batch.
-    pub min_at: SimTime,
-}
-
-impl<M> Default for InboxSlot<M> {
-    fn default() -> Self {
-        InboxSlot {
-            batches: Vec::new(),
-            min_at: SimTime::MAX,
-        }
-    }
-}
-
 /// A `(time, key)`-ordered event queue. Unlike
 /// [`EventQueue`](crate::event::EventQueue), ties are broken by the
 /// deterministic [`EventKey`] rather than local insertion order, which is
@@ -489,20 +469,18 @@ pub(crate) struct ShardCore<M> {
     /// barrier. A deque so the coordinator's K-way merge can pop from the
     /// front without draining into an intermediate iterator.
     pub fired: VecDeque<MergedEvent<M>>,
-    /// Cross-shard deliveries generated this sub-round, one SoA batch per
-    /// destination shard; pushed to the destination's [`InboxSlot`] at
-    /// the exchange phase as a whole-buffer move.
+    /// Cross-shard deliveries generated this window, one SoA batch per
+    /// destination shard; the coordinator moves each whole batch to the
+    /// destination's `inbox` at the barrier.
     pub outboxes: Vec<DeliverBatch<M>>,
+    /// Batches other shards produced in the previous window, deposited by
+    /// the coordinator at the barrier and drained into `queue` at the
+    /// start of this shard's next window.
+    pub inbox: Vec<DeliverBatch<M>>,
     /// Spent batches handed back after their entries drained into the
     /// queue; reused as outbox replacements so exchange never allocates
     /// once warm.
     pub free: Vec<DeliverBatch<M>>,
-    /// Scheduled times of every pending `SendCmd` on this shard (a
-    /// min-heap). Sends are the only event kind that *generates* new
-    /// events, so the earliest pending send bounds, from below, the time
-    /// of the next cross-shard arrival this shard can produce — the lever
-    /// behind adaptive window widening (see `arrival_bound`).
-    pub send_times: BinaryHeap<Reverse<SimTime>>,
     /// Time of the last processed event (drives the coordinator's clock).
     pub last_at: SimTime,
     /// Per-link byte accounting deltas (summed across shards on demand;
@@ -515,15 +493,6 @@ pub(crate) struct ShardCore<M> {
     /// Events popped at or past the window end — the "shard advanced past
     /// the coordinator's safe time" invariant violation. Must stay zero.
     pub overrun_events: u64,
-    /// Entries this shard pushed into peer inboxes whose arrival time was
-    /// *inside* the sub-round that produced them — a violation of the
-    /// lookahead rule. Must stay zero.
-    pub early_crossings: u64,
-    /// Cross-shard entries this shard pushed into peer inboxes.
-    pub exchanged_out: u64,
-    /// Whole-batch exchange operations (the O(runs) unit the SoA layout
-    /// buys: compare with `exchanged_out`, the O(events) unit).
-    pub exchange_ops: u64,
 }
 
 impl<M> ShardCore<M> {
@@ -538,16 +507,13 @@ impl<M> ShardCore<M> {
             counters: [0; KernelCounter::COUNT],
             fired: VecDeque::new(),
             outboxes: (0..shards).map(|_| DeliverBatch::default()).collect(),
+            inbox: Vec::new(),
             free: Vec::new(),
-            send_times: BinaryHeap::new(),
             last_at: SimTime::ZERO,
             link_bytes: vec![0; topo.link_count()],
             events_processed: 0,
             busy_ns: 0,
             overrun_events: 0,
-            early_crossings: 0,
-            exchanged_out: 0,
-            exchange_ops: 0,
         }
     }
 
@@ -563,12 +529,14 @@ impl<M> ShardCore<M> {
         }
     }
 
-    /// Runs this shard's loop over every queued event strictly before
-    /// `end`. Cross-shard events land in `outboxes`; occurrences land in
-    /// `fired`. Safe to run concurrently with the other shards because it
-    /// only reads `topo`/`map` and writes shard-owned state.
+    /// Runs this shard's loop over its inbox and every queued event
+    /// strictly before `end`. Cross-shard events land in `outboxes`;
+    /// occurrences land in `fired`. Safe to run concurrently with the
+    /// other shards because it only reads `topo`/`map` and writes
+    /// shard-owned state.
     pub fn run_window(&mut self, topo: &Topology, map: &ShardMap, end: SimTime) {
         let t0 = Instant::now();
+        self.drain_inbox();
         if self.link_bytes.len() < topo.link_count() {
             self.link_bytes.resize(topo.link_count(), 0);
         }
@@ -585,56 +553,23 @@ impl<M> ShardCore<M> {
         self.busy_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Time of this shard's earliest pending queue entry (its shared
-    /// inbox is accounted separately by the coordinator).
+    /// Moves every inbox batch into the queue, recycling the spent
+    /// buffers into the free list.
+    pub fn drain_inbox(&mut self) {
+        for mut b in self.inbox.drain(..) {
+            b.drain_into(&mut self.queue);
+            self.free.push(b);
+        }
+    }
+
+    /// Time of this shard's earliest pending entry, queued or still in
+    /// its inbox.
     pub fn next_pending(&self) -> SimTime {
-        self.queue.peek().map_or(SimTime::MAX, |(at, _)| at)
-    }
-
-    /// A provable lower bound on the arrival time of *any* cross-shard
-    /// event this shard can still generate.
-    ///
-    /// Only `SendCmd` processing creates new events, so with `ts_min` the
-    /// earliest pending send on this shard, every future arrival is at
-    /// least `ts_min + la` (`la` bounds every cross-shard route's transit
-    /// from below) **and** at least the smallest FIFO tail over this
-    /// shard's open send sides (`arrival = max(t + transit, fifo_tail)`
-    /// and tails only move forward). Returns [`SimTime::MAX`] when no
-    /// send is pending (or no send side is open): this shard can generate
-    /// nothing, so it does not constrain the window at all.
-    ///
-    /// The coordinator takes the min over shards and may widen a window
-    /// up to that bound without any exchange inside it — provably never
-    /// past the static safe bound, because the bound *is* the static
-    /// argument re-applied to the current queue contents.
-    pub fn arrival_bound(&self, la: SimDuration) -> SimTime {
-        let Some(&Reverse(ts_min)) = self.send_times.peek() else {
-            return SimTime::MAX;
-        };
-        let mut floor = SimTime::MAX;
-        for s in self.send_sides.iter().flatten() {
-            if s.open {
-                floor = floor.min(s.fifo_tail);
-            }
-        }
-        if floor == SimTime::MAX {
-            // No open send side: every pending send will drop at its
-            // source without generating a delivery.
-            return SimTime::MAX;
-        }
-        (ts_min + la).max(floor)
-    }
-
-    /// Rebuilds the pending-send-time heap from the queue. Needed after a
-    /// rebind migrates queued `SendCmd`s between shards (the only
-    /// operation that moves pending sends without processing them).
-    pub fn rebuild_send_times(&mut self) {
-        self.send_times.clear();
-        for e in self.queue.iter() {
-            if matches!(e.ev, ShardEvent::SendCmd { .. }) {
-                self.send_times.push(Reverse(e.at));
-            }
-        }
+        let queued = self.queue.peek().map_or(SimTime::MAX, |(at, _)| at);
+        self.inbox
+            .iter()
+            .map(|b| b.min_at)
+            .fold(queued, SimTime::min)
     }
 
     /// Processes one event against shard-owned state. Also used by the
@@ -646,10 +581,6 @@ impl<M> ShardCore<M> {
         self.last_at = at;
         match ev {
             ShardEvent::SendCmd { ch, msg, size } => {
-                // This send is the earliest pending one on this shard
-                // (queue pops are time-ordered), so retiring the heap min
-                // retires exactly this command's scheduled time.
-                self.send_times.pop();
                 let side = self.send_sides[ch.0 as usize]
                     .as_mut()
                     .expect("send side owned by this shard");

@@ -7,7 +7,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
-use serde::{Deserialize, Serialize};
 
 /// A point in virtual time, in microseconds since simulation start.
 ///
@@ -25,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t1 - t0, SimDuration::from_micros(5_000));
 /// assert!(t1 > t0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, in microseconds.
@@ -41,9 +38,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_micros(), 2_500);
 /// assert_eq!(d.as_secs_f64(), 0.0025);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

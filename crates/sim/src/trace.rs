@@ -11,7 +11,6 @@
 //! to the consumer.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic, time-indexed resource signal.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.sample(SimTime::from_secs(5)), 1.0);
 /// assert_eq!(t.sample(SimTime::from_secs(15)), 0.3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ResourceTrace {
     /// Always `level`.
     Constant {

@@ -177,10 +177,9 @@ fn sharded_worker_event_loops_allocate_nothing_when_warm() {
     };
 
     // Two warm passes: the first grows every per-shard heap, outbox
-    // batch, inbox slot and fired buffer; the second runs with the
-    // adaptive window widths already at steady state, so its (wider)
-    // sub-round batches reach the true capacity peak the measured pass
-    // will replay.
+    // batch, inbox and fired buffer; the second starts with the batch
+    // free lists already in their steady-state circulation, so its
+    // buffers reach the true capacity peak the measured pass will replay.
     let mut now_us = 0;
     for _ in 0..2 {
         schedule(&mut k, now_us);

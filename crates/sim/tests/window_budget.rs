@@ -1,33 +1,27 @@
-//! Perf-regression guard for the adaptive window policy.
+//! Regression guard for the sharded kernel's window schedule.
 //!
 //! Wall-clock timing is flaky in CI, but the *window count* of a fixed
 //! workload is deterministic: it depends only on the schedule and the
-//! widening policy, not on the host. This test pins the coordinator
-//! barrier budget — an accidental lookahead regression (say, a widening
-//! heuristic change that halves too eagerly) shows up as a window-count
-//! jump long before anyone notices wall-clock drift.
-//!
-//! The baselines were recorded from the E19 implementation; the guard
-//! allows 25% headroom so intentional tuning has room to move without
-//! churn, while a regression back toward one-barrier-per-lookahead
-//! (which would be ~10x these numbers) fails loudly.
+//! lookahead, not on the host. Every window is one coordinator barrier,
+//! so this count is the host-independent proxy for barrier cost. It is
+//! pinned exactly: a lookahead regression (say, a shard map change that
+//! shrinks the minimum cross-shard latency) or any extra barrier shows up
+//! here long before anyone notices wall-clock drift.
 
 use aas_sim::coordinator::{ExecMode, ShardedKernel};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 
-/// Recorded windows for the fixed workload below at K=1 and K=4
-/// (adaptive policy, inline execution). Update deliberately — a bump
-/// here must come with an explanation, not a regression.
-const BASELINE_WINDOWS: [(u32, u64); 2] = [(1, 1), (4, 6)];
-/// Allowed headroom over the recorded baseline.
-const HEADROOM: f64 = 1.25;
+/// Windows for the fixed workload below at K=1 and K=4 (inline
+/// execution). Update deliberately — a change here must come with an
+/// explanation, not a regression.
+const EXPECTED_WINDOWS: [(u32, u64); 2] = [(1, 1), (4, 56)];
 
 /// The fixed workload: 10k sends over 8 cross-shard channels on a
-/// 2 ms-lookahead clique, 11 µs apart (a 110 ms span ≈ 55 lookaheads —
-/// the fixed policy would need ~55 barriers at K=4; adaptive needs 6).
-/// At K=1 everything is shard-local, the lookahead is unbounded and the
+/// 2 ms-lookahead clique, 11 µs apart. At K=4 the 110 ms send span plus
+/// the last 2 ms transit is covered by one window per lookahead: 56. At
+/// K=1 everything is shard-local, the lookahead is unbounded and the
 /// whole schedule runs in a single window — any K=1 count above 1 means
 /// windowing kicked in where none is needed.
 fn run_workload(shards: u32) -> aas_sim::coordinator::ShardedStats {
@@ -50,21 +44,15 @@ fn run_workload(shards: u32) -> aas_sim::coordinator::ShardedStats {
 }
 
 #[test]
-fn window_budget_within_recorded_baseline() {
-    for (shards, baseline) in BASELINE_WINDOWS {
+fn window_count_matches_the_one_lookahead_schedule() {
+    for (shards, expected) in EXPECTED_WINDOWS {
         let stats = run_workload(shards);
         assert_eq!(stats.early_crossings, 0);
         assert_eq!(stats.overrun_events, 0);
-        let budget = (baseline as f64 * HEADROOM).floor() as u64;
-        eprintln!(
-            "K={shards}: windows={} baseline={baseline} budget={budget}",
-            stats.windows
-        );
-        assert!(
-            stats.windows <= budget,
-            "K={shards}: {} windows exceeds the budget of {budget} \
-             (recorded baseline {baseline} + 25% headroom) — the \
-             adaptive lookahead policy regressed",
+        assert_eq!(
+            stats.windows, expected,
+            "K={shards}: {} windows, expected exactly {expected} — the \
+             window schedule changed",
             stats.windows,
         );
     }

@@ -7,10 +7,9 @@
 //! walks instead of "dropping calls \[or\] rejecting packets arbitrarily".
 
 use aas_control::qos::{ServiceLadder, ServiceLevel};
-use serde::{Deserialize, Serialize};
 
 /// One codec operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodecProfile {
     /// Profile name (e.g. `"720p"`).
     pub name: String,

@@ -9,10 +9,9 @@
 
 use aas_sim::rng::SimRng;
 use aas_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A 2-D position in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Position {
     /// X coordinate.
     pub x: f64,
@@ -29,11 +28,11 @@ impl Position {
 }
 
 /// Identifier of a cell in the grid (row-major).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellId(pub u32);
 
 /// A rectangular field split into `cols x rows` equal cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellGrid {
     /// Field width (m).
     pub width: f64,

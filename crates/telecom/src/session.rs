@@ -3,10 +3,9 @@
 use crate::codec::CodecProfile;
 use aas_sim::time::SimTime;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Session lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
     /// Created, not yet streaming.
     Negotiating,
