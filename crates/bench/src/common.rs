@@ -48,7 +48,7 @@ impl Component for Worker {
 
     fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
         if msg.op != "work" {
-            return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+            return Err(ComponentError::UnsupportedOperation(msg.op.to_string()));
         }
         self.handled += 1;
         ctx.reply(Value::from(self.handled));

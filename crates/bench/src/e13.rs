@@ -55,7 +55,7 @@ impl Component for PoisonWorker {
 
     fn on_message(&mut self, _ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
         if msg.op != "work" {
-            return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+            return Err(ComponentError::UnsupportedOperation(msg.op.to_string()));
         }
         Ok(())
     }

@@ -14,7 +14,7 @@
 use crate::error::{ComponentError, StateError};
 use crate::interface::Interface;
 use crate::lts::Lts;
-use crate::message::{Message, Value};
+use crate::message::{Message, Name, Value};
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
 
@@ -95,14 +95,14 @@ impl StateSnapshot {
         StateSnapshot {
             type_name: type_name.into(),
             version,
-            state: Value::map::<String>([]),
+            state: Value::map::<Name>([]),
         }
     }
 
     /// Adds a field (builder style).
     #[must_use]
-    pub fn with_field(mut self, key: impl Into<String>, value: Value) -> Self {
-        self.state.set(key, value);
+    pub fn with_field(mut self, key: impl Into<Name>, value: Value) -> Self {
+        self.state.set(key.into(), value);
         self
     }
 
@@ -137,7 +137,7 @@ pub enum Effect {
     /// Send a message out of a named required port.
     Send {
         /// The required port to send through.
-        port: String,
+        port: Name,
         /// The message (id/seq/from/sent_at are filled by the runtime).
         message: Message,
     },
@@ -157,7 +157,7 @@ pub enum Effect {
     /// RAML introspection).
     Metric {
         /// Metric name.
-        name: String,
+        name: Name,
         /// Observed value.
         value: f64,
     },
@@ -165,23 +165,38 @@ pub enum Effect {
 
 /// The context handed to component handlers.
 ///
-/// Provides read access to the environment and buffers effects.
-#[derive(Debug)]
+/// Provides read access to the environment and buffers effects. The
+/// runtime keeps one context and re-arms it for every call, so the effect
+/// buffer's capacity is reused across deliveries.
+#[derive(Debug, Default)]
 pub struct CallCtx {
     now: SimTime,
-    self_name: String,
+    self_name: Name,
     effects: Vec<Effect>,
 }
 
 impl CallCtx {
     /// Creates a context (runtime-internal).
     #[must_use]
-    pub fn new(now: SimTime, self_name: impl Into<String>) -> Self {
+    pub fn new(now: SimTime, self_name: impl Into<Name>) -> Self {
         CallCtx {
             now,
             self_name: self_name.into(),
             effects: Vec::new(),
         }
+    }
+
+    /// Re-arms a reused context for a call on `self_name` at `now`. The
+    /// effect buffer must have been drained by the previous call's owner.
+    pub(crate) fn rearm(&mut self, now: SimTime, self_name: Name) {
+        debug_assert!(self.effects.is_empty(), "effects left in a reused CallCtx");
+        self.now = now;
+        self.self_name = self_name;
+    }
+
+    /// The buffered effects, for the runtime to drain in place.
+    pub(crate) fn effects_mut(&mut self) -> &mut Vec<Effect> {
+        &mut self.effects
     }
 
     /// Current virtual time.
@@ -197,7 +212,7 @@ impl CallCtx {
     }
 
     /// Sends `message` out of required port `port`.
-    pub fn send(&mut self, port: impl Into<String>, message: Message) {
+    pub fn send(&mut self, port: impl Into<Name>, message: Message) {
         self.effects.push(Effect::Send {
             port: port.into(),
             message,
@@ -215,7 +230,7 @@ impl CallCtx {
     }
 
     /// Records a metric observation.
-    pub fn metric(&mut self, name: impl Into<String>, value: f64) {
+    pub fn metric(&mut self, name: impl Into<Name>, value: f64) {
         self.effects.push(Effect::Metric {
             name: name.into(),
             value,
@@ -260,7 +275,7 @@ impl CallCtx {
 ///         -> Result<(), ComponentError>
 ///     {
 ///         if msg.op != "tick" {
-///             return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+///             return Err(ComponentError::UnsupportedOperation(msg.op.to_string()));
 ///         }
 ///         self.count += 1;
 ///         ctx.reply(Value::from(self.count));
@@ -346,7 +361,7 @@ impl Component for EchoComponent {
 
     fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
         if msg.op != "echo" {
-            return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+            return Err(ComponentError::UnsupportedOperation(msg.op.to_string()));
         }
         self.handled += 1;
         ctx.reply(msg.value.clone());

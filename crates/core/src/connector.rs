@@ -14,10 +14,11 @@
 //! run time without touching the components they glue.
 
 use crate::lts::{Label, Lts, LtsRunner, ProtocolViolation};
-use crate::message::{Message, SequenceTracker};
+use crate::message::{Message, Name, SequenceTracker};
 use aas_sim::stats::{Histogram, Summary};
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
+use core::ops::Range;
 
 /// Unique identifier of a connector instance within a runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -208,7 +209,7 @@ pub struct ConnectorStats {
     /// Wire sizes after aspect processing.
     pub sizes: Histogram,
     /// Last operation seen by `Logging`.
-    pub last_op: Option<String>,
+    pub last_op: Option<Name>,
 }
 
 /// Result of mediating one message through a connector.
@@ -218,8 +219,10 @@ pub struct Mediation {
     pub extra_cost: f64,
     /// Multiplier to apply to the message's wire size.
     pub size_factor: f64,
-    /// Indices (into the target list) the message should go to.
-    pub targets: Vec<usize>,
+    /// Indices (into the target list) the message should go to: one
+    /// index for direct and round-robin routing, all of them for
+    /// broadcast.
+    pub targets: Range<usize>,
     /// Protocol violation, if one was detected (message passes anyway in
     /// open mode; the violation is surfaced to RAML).
     pub violation: Option<ProtocolViolation>,
@@ -232,7 +235,7 @@ pub struct Connector {
     spec: ConnectorSpec,
     runner: Option<LtsRunner>,
     rr_next: usize,
-    seq: SequenceTracker,
+    seq: SequenceTracker<(u32, u32)>,
     stats: ConnectorStats,
 }
 
@@ -287,10 +290,11 @@ impl Connector {
 
     /// Feeds one routed message copy's final `(flow, seq)` pair to the
     /// sequence-check aspect. The runtime calls this once per delivered
-    /// copy, after routing has fixed the per-flow sequence number.
-    pub fn observe_sequence(&mut self, flow: &str, seq: u64) {
+    /// copy, after routing has fixed the per-flow sequence number; `flow`
+    /// is the runtime's interned `(sender, receiver)` name-id pair.
+    pub fn observe_sequence(&mut self, flow: (u32, u32), seq: u64) {
         use crate::message::SeqVerdict;
-        match self.seq.observe(flow, seq) {
+        match self.seq.observe(&flow, seq) {
             SeqVerdict::InOrder => {}
             SeqVerdict::Gap { missing } => self.stats.seq_anomalies += missing,
             SeqVerdict::Duplicate => self.stats.seq_anomalies += 1,
@@ -309,7 +313,7 @@ impl Connector {
 
         // Protocol step (the collaboration automaton).
         let violation = match self.runner.as_mut() {
-            Some(runner) => runner.try_fire(&Label::recv(&msg.op)).err(),
+            Some(runner) => runner.try_fire(&Label::recv(msg.op.as_str())).err(),
             None => None,
         };
         if violation.is_some() {
@@ -321,8 +325,11 @@ impl Connector {
         let mut size_factor = 1.0;
         for aspect in &self.spec.aspects {
             match aspect {
+                // Steady traffic repeats one op: compare before storing.
                 ConnectorAspect::Logging => {
-                    self.stats.last_op = Some(msg.op.clone());
+                    if self.stats.last_op.as_ref() != Some(&msg.op) {
+                        self.stats.last_op = Some(msg.op.clone());
+                    }
                 }
                 ConnectorAspect::Metering => {
                     let latency_ms = now.saturating_since(msg.sent_at).as_micros() as f64 / 1e3;
@@ -346,13 +353,13 @@ impl Connector {
 
         // Routing.
         let targets = match self.spec.policy {
-            RoutingPolicy::Direct => vec![0],
+            RoutingPolicy::Direct => 0..1,
             RoutingPolicy::RoundRobin => {
                 let t = self.rr_next % target_count;
                 self.rr_next = self.rr_next.wrapping_add(1);
-                vec![t]
+                t..t + 1
             }
-            RoutingPolicy::Broadcast => (0..target_count).collect(),
+            RoutingPolicy::Broadcast => 0..target_count,
         };
 
         Mediation {
@@ -456,7 +463,7 @@ mod tests {
     use super::*;
     use crate::message::Value;
 
-    fn msg(op: &str, seq: u64, from: &str) -> Message {
+    fn msg(op: &'static str, seq: u64, from: &'static str) -> Message {
         let mut m = Message::request(op, Value::from(1));
         m.seq = seq;
         m.from = from.into();
@@ -480,7 +487,7 @@ mod tests {
     fn direct_routes_to_first() {
         let mut c = Connector::new(ConnectorId(0), ConnectorSpec::direct("d"));
         let m = c.mediate(&msg("op", 0, "a"), SimTime::ZERO, 3);
-        assert_eq!(m.targets, vec![0]);
+        assert_eq!(m.targets, 0..1);
         assert!(m.violation.is_none());
         assert!((m.size_factor - 1.0).abs() < 1e-12);
     }
@@ -489,10 +496,10 @@ mod tests {
     fn round_robin_cycles() {
         let spec = ConnectorSpec::direct("rr").with_policy(RoutingPolicy::RoundRobin);
         let mut c = Connector::new(ConnectorId(0), spec);
-        let picks: Vec<Vec<usize>> = (0..4)
+        let picks: Vec<Range<usize>> = (0..4)
             .map(|i| c.mediate(&msg("op", i, "a"), SimTime::ZERO, 3).targets)
             .collect();
-        assert_eq!(picks, vec![vec![0], vec![1], vec![2], vec![0]]);
+        assert_eq!(picks, vec![0..1, 1..2, 2..3, 0..1]);
     }
 
     #[test]
@@ -500,7 +507,7 @@ mod tests {
         let spec = ConnectorSpec::direct("bc").with_policy(RoutingPolicy::Broadcast);
         let mut c = Connector::new(ConnectorId(0), spec);
         let m = c.mediate(&msg("op", 0, "a"), SimTime::ZERO, 3);
-        assert_eq!(m.targets, vec![0, 1, 2]);
+        assert_eq!(m.targets, 0..3);
     }
 
     #[test]
@@ -541,10 +548,10 @@ mod tests {
         let spec = ConnectorSpec::direct("s").with_aspect(ConnectorAspect::SequenceCheck);
         let mut c = Connector::new(ConnectorId(0), spec);
         assert!(c.has_sequence_check());
-        c.observe_sequence("a->b", 0);
-        c.observe_sequence("a->b", 1);
-        c.observe_sequence("a->b", 5); // gap of 3
-        c.observe_sequence("a->b", 5); // duplicate
+        c.observe_sequence((1, 2), 0);
+        c.observe_sequence((1, 2), 1);
+        c.observe_sequence((1, 2), 5); // gap of 3
+        c.observe_sequence((1, 2), 5); // duplicate
         assert_eq!(c.stats().seq_anomalies, 4);
         assert!(!Connector::new(ConnectorId(1), ConnectorSpec::direct("d")).has_sequence_check());
     }

@@ -6,8 +6,157 @@
 //! timestamps (delay measurement).
 
 use aas_sim::time::SimTime;
+use core::borrow::Borrow;
 use core::fmt;
+use core::ops::Deref;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// A cheap, shared, immutable name: an operation, a port, a metric, a
+/// sender instance or a map key.
+///
+/// A `Name` is either a `&'static str` literal or a shared `Arc<str>`, so
+/// cloning one never allocates. Messages, effects and the runtime's name
+/// interner all carry `Name`s, which keeps the per-message path free of
+/// `String` churn. It compares, orders and hashes exactly like the string
+/// it holds, and dereferences to `str`.
+///
+/// # Examples
+///
+/// ```
+/// use aas_core::message::Name;
+///
+/// let op = Name::from("frame");
+/// let copy = op.clone();
+/// assert_eq!(copy, "frame");
+/// assert_eq!(copy.len(), 5);
+/// assert_eq!(Name::from(String::from("frame")), op);
+/// ```
+#[derive(Clone)]
+pub struct Name(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl Name {
+    /// A name backed by a string literal (no allocation, usable in
+    /// `const` contexts).
+    #[must_use]
+    pub const fn from_static(s: &'static str) -> Name {
+        Name(NameRepr::Static(s))
+    }
+
+    /// The name as a string slice.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            NameRepr::Static(s) => s,
+            NameRepr::Shared(s) => s,
+        }
+    }
+}
+
+impl Default for Name {
+    fn default() -> Name {
+        Name::from_static("")
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Name {
+        Name::from_static(s)
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name(NameRepr::Shared(Arc::from(s)))
+    }
+}
+
+impl From<&String> for Name {
+    fn from(s: &String) -> Name {
+        Name(NameRepr::Shared(Arc::from(s.as_str())))
+    }
+}
+
+impl From<Arc<str>> for Name {
+    fn from(s: Arc<str>) -> Name {
+        Name(NameRepr::Shared(s))
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> core::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl core::hash::Hash for Name {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialEq<String> for Name {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// A dynamically-typed payload value.
 ///
@@ -42,13 +191,13 @@ pub enum Value {
     Bytes(Vec<u8>),
     /// An ordered list.
     List(Vec<Value>),
-    /// A string-keyed map.
-    Map(BTreeMap<String, Value>),
+    /// A map keyed by shared names: copying it copies no key strings.
+    Map(BTreeMap<Name, Value>),
 }
 
 impl Value {
     /// Builds a map value from `(key, value)` pairs.
-    pub fn map<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Value)>) -> Value {
+    pub fn map<K: Into<Name>>(pairs: impl IntoIterator<Item = (K, Value)>) -> Value {
         Value::Map(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
@@ -61,10 +210,16 @@ impl Value {
         }
     }
 
-    /// Sets a key on a map value; does nothing on non-maps.
-    pub fn set(&mut self, key: impl Into<String>, value: Value) {
+    /// Sets a key on a map value; does nothing on non-maps. Overwriting
+    /// an existing key allocates nothing.
+    pub fn set<K: Borrow<str> + Into<Name>>(&mut self, key: K, value: Value) {
         if let Value::Map(m) = self {
-            m.insert(key.into(), value);
+            match m.get_mut(key.borrow()) {
+                Some(slot) => *slot = value,
+                None => {
+                    m.insert(key.into(), value);
+                }
+            }
         }
     }
 
@@ -223,7 +378,7 @@ pub struct Message {
     /// Request/reply/event.
     pub kind: MessageKind,
     /// Operation name; matched against the target's provided interface.
-    pub op: String,
+    pub op: Name,
     /// Payload.
     pub value: Value,
     /// For replies: the request this answers.
@@ -237,7 +392,7 @@ pub struct Message {
     /// map.
     pub size_hint: Option<u64>,
     /// Instance name of the sender ("external" for injected workload).
-    pub from: String,
+    pub from: Name,
     /// When the message was sent.
     pub sent_at: SimTime,
 }
@@ -246,7 +401,7 @@ impl Message {
     /// Builds a request message; the runtime fills `id`, `seq`, `from` and
     /// `sent_at` at send time.
     #[must_use]
-    pub fn request(op: impl Into<String>, value: Value) -> Message {
+    pub fn request(op: impl Into<Name>, value: Value) -> Message {
         Message {
             id: MessageId(0),
             kind: MessageKind::Request,
@@ -255,14 +410,14 @@ impl Message {
             correlation: None,
             seq: 0,
             size_hint: None,
-            from: String::new(),
+            from: Name::default(),
             sent_at: SimTime::ZERO,
         }
     }
 
     /// Builds a one-way event message.
     #[must_use]
-    pub fn event(op: impl Into<String>, value: Value) -> Message {
+    pub fn event(op: impl Into<Name>, value: Value) -> Message {
         Message {
             kind: MessageKind::Event,
             ..Message::request(op, value)
@@ -275,12 +430,12 @@ impl Message {
         Message {
             id: MessageId(0),
             kind: MessageKind::Reply,
-            op: format!("{}.reply", request.op),
+            op: format!("{}.reply", request.op).into(),
             value,
             correlation: Some(request.id),
             seq: 0,
             size_hint: None,
-            from: String::new(),
+            from: Name::default(),
             sent_at: SimTime::ZERO,
         }
     }
@@ -318,9 +473,12 @@ impl Message {
 /// assert_eq!(t.observe("a", 3), SeqVerdict::Gap { missing: 1 });
 /// assert_eq!(t.observe("a", 3), SeqVerdict::Duplicate);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct SequenceTracker {
-    next_expected: BTreeMap<String, u64>,
+///
+/// Flows are keyed by `K`: flow names by default, or any ordered key
+/// such as the runtime's interned `(sender, receiver)` id pairs.
+#[derive(Debug, Clone)]
+pub struct SequenceTracker<K = String> {
+    next_expected: BTreeMap<K, u64>,
     gaps: u64,
     duplicates: u64,
     reordered: u64,
@@ -340,7 +498,18 @@ pub enum SeqVerdict {
     Duplicate,
 }
 
-impl SequenceTracker {
+impl<K: Ord> Default for SequenceTracker<K> {
+    fn default() -> Self {
+        SequenceTracker {
+            next_expected: BTreeMap::new(),
+            gaps: 0,
+            duplicates: 0,
+            reordered: 0,
+        }
+    }
+}
+
+impl<K: Ord> SequenceTracker<K> {
     /// Creates an empty tracker.
     #[must_use]
     pub fn new() -> Self {
@@ -348,9 +517,14 @@ impl SequenceTracker {
     }
 
     /// Observes sequence number `seq` on flow `flow` and classifies it.
-    /// The flow name is only allocated the first time a flow is seen;
-    /// steady-state observations look up by `&str` and allocate nothing.
-    pub fn observe(&mut self, flow: &str, seq: u64) -> SeqVerdict {
+    /// The flow key is only allocated the first time a flow is seen;
+    /// steady-state observations look up by reference and allocate
+    /// nothing.
+    pub fn observe<Q>(&mut self, flow: &Q, seq: u64) -> SeqVerdict
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
         let next = match self.next_expected.get_mut(flow) {
             Some(next) => next,
             None => self.next_expected.entry(flow.to_owned()).or_insert(0),

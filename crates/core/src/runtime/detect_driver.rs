@@ -47,12 +47,13 @@ impl Runtime {
         // from a down node (or across a dead route) fails in the kernel —
         // that silence is exactly what accrues suspicion.
         for (node, ch) in &drt.hb_channels {
+            // Heartbeats are intercepted at delivery: `from`/`to` are unused.
             let env = Envelope {
                 msg: Message::event("heartbeat", Value::Null),
-                to_instance: String::new(),
-                to_port: String::new(),
-                extra_cost: 0.0,
+                from: EXTERNAL_ID,
+                to: EXTERNAL_ID,
                 via: None,
+                extra_cost: 0.0,
                 attempt: 0,
                 kind: EnvKind::Heartbeat(*node),
             };

@@ -1,18 +1,20 @@
 use super::*;
+use crate::connector::Mediation;
+use core::ops::Range;
 
 impl Runtime {
     /// Schedules a backed-off redelivery for a dropped envelope if the
     /// mediating connector carries a retry policy with attempts to spare.
     pub(super) fn maybe_retry(&mut self, env: Envelope, _now: SimTime) {
-        let Some(via) = env.via.as_deref() else {
+        let Some(via) = env.via else {
             return;
         };
-        let Some(policy) = self.connectors.get(via).and_then(|c| c.spec().retry) else {
+        let Some(policy) = self.connectors.at(via).and_then(|c| c.spec().retry) else {
             return;
         };
         // The negotiated retry budget caps (never raises) the connector's
         // own policy.
-        let max_attempts = match self.negotiate_retry_cap(&env.to_instance) {
+        let max_attempts = match self.negotiate_retry_cap(env.to) {
             Some(cap) => policy.max_attempts.min(cap),
             None => policy.max_attempts,
         };
@@ -24,26 +26,22 @@ impl Runtime {
         env.attempt += 1;
         self.m.retries.incr();
         let tag = self.kernel.set_timer(delay);
-        self.timers.insert(
-            tag,
-            TimerPurpose::Retry {
-                envelope: Box::new(env),
-            },
-        );
+        self.timers
+            .insert(tag, TimerPurpose::Retry { envelope: env });
     }
 
     /// Re-sends a retried envelope over its binding's current channel.
     pub(super) fn resend(&mut self, env: Envelope, now: SimTime) {
-        let Some(via) = env.via.clone() else {
+        let Some(via) = env.via else {
             return;
         };
         let mut channel = None;
-        for b in self.bindings.values() {
-            if b.decl.via != via || b.decl.from.0 != env.msg.from {
+        for b in self.bindings.values(&self.names) {
+            if b.via != via || b.from != env.from {
                 continue;
             }
-            for ((inst, _), ch) in b.decl.to.iter().zip(&b.channels) {
-                if *inst == env.to_instance {
+            for (to, ch) in b.targets.iter().zip(&b.channels) {
+                if *to == env.to {
                     channel = Some(*ch);
                     break;
                 }
@@ -53,17 +51,16 @@ impl Runtime {
             return; // binding went away; the retry dies quietly
         };
         let size = env.msg.wire_size();
-        let backup = env.clone();
-        if !self.kernel.send(ch, env, size).is_sent() {
+        if let Err((_, env)) = self.kernel.try_send(ch, env, size) {
             self.m.dropped.incr();
-            self.maybe_retry(backup, now);
+            self.maybe_retry(env, now);
         }
     }
 
     /// Rebinds every channel touching `name` to its new node.
     pub(super) fn rehome_channels(&mut self, name: &str, node: NodeId) {
-        if let Some(ch) = self.external_channels.get(name) {
-            self.kernel.rebind_channel(*ch, node, node);
+        if let Some(inst) = self.instances.get(&self.names, name) {
+            self.kernel.rebind_channel(inst.external, node, node);
         }
         let reply_updates: Vec<(ChannelId, NodeId, NodeId)> = self
             .reply_channels
@@ -72,12 +69,12 @@ impl Runtime {
                 let from_node = if from == name {
                     node
                 } else {
-                    self.instances.get(from)?.node
+                    self.instances.get(&self.names, from)?.node
                 };
                 let to_node = if to == name {
                     node
                 } else {
-                    self.instances.get(to)?.node
+                    self.instances.get(&self.names, to)?.node
                 };
                 (from == name || to == name).then_some((*ch, from_node, to_node))
             })
@@ -86,7 +83,7 @@ impl Runtime {
             self.kernel.rebind_channel(ch, s, d);
         }
         let mut binding_updates: Vec<(ChannelId, NodeId, NodeId)> = Vec::new();
-        for b in self.bindings.values() {
+        for b in self.bindings.values(&self.names) {
             let src = &b.decl.from.0;
             for ((inst, _), ch) in b.decl.to.iter().zip(&b.channels) {
                 if src != name && inst != name {
@@ -95,7 +92,7 @@ impl Runtime {
                 let s = if src == name {
                     node
                 } else {
-                    match self.instances.get(src) {
+                    match self.instances.get(&self.names, src) {
                         Some(i) => i.node,
                         None => continue,
                     }
@@ -103,7 +100,7 @@ impl Runtime {
                 let d = if inst == name {
                     node
                 } else {
-                    match self.instances.get(inst) {
+                    match self.instances.get(&self.names, inst) {
                         Some(i) => i.node,
                         None => continue,
                     }
@@ -117,13 +114,13 @@ impl Runtime {
     }
 
     pub(super) fn on_delivered(&mut self, env: Envelope, now: SimTime) {
-        match self.instances.get(&env.to_instance) {
+        match self.instances.at(env.to) {
             None => {
                 self.m.dropped.incr();
                 self.events.push((
                     now,
                     RuntimeEvent::Dropped {
-                        reason: format!("no instance `{}`", env.to_instance),
+                        reason: format!("no instance `{}`", self.names.name(env.to)),
                     },
                 ));
                 return;
@@ -133,7 +130,7 @@ impl Runtime {
                 self.events.push((
                     now,
                     RuntimeEvent::Dropped {
-                        reason: format!("instance `{}` failed", env.to_instance),
+                        reason: format!("instance `{}` failed", self.names.name(env.to)),
                     },
                 ));
                 self.maybe_retry(env, now);
@@ -143,13 +140,13 @@ impl Runtime {
         }
         // Negotiation admission gate: a granted-down agent sheds the
         // overflow deterministically and cheapens what it does admit.
-        let (cost_scale, admit) = self.negotiate_admit(&env.to_instance);
+        let (cost_scale, admit) = self.negotiate_admit(env.to);
         if !admit {
             self.negotiate.shed_total += 1;
             self.m.shed.incr();
             return;
         }
-        let inst = self.instances.get_mut(&env.to_instance).expect("checked");
+        let inst = self.instances.at_mut(env.to).expect("checked");
         let cost = (env.extra_cost + inst.component.work_cost(&env.msg)) * cost_scale;
         let node = inst.node;
         let Some(delay) = self.kernel.run_job(node, cost) else {
@@ -157,35 +154,29 @@ impl Runtime {
             self.events.push((
                 now,
                 RuntimeEvent::Dropped {
-                    reason: format!("node for `{}` down", env.to_instance),
+                    reason: format!("node for `{}` down", self.names.name(env.to)),
                 },
             ));
             self.maybe_retry(env, now);
             return;
         };
         self.m.delivered.incr();
-        let inst = self.instances.get_mut(&env.to_instance).expect("checked");
+        let inst = self.instances.at_mut(env.to).expect("checked");
         inst.inflight += 1;
-        let instance = env.to_instance.clone();
         let tag = self.kernel.set_timer(delay);
-        self.timers.insert(
-            tag,
-            TimerPurpose::JobDone {
-                instance,
-                envelope: Box::new(env),
-            },
-        );
+        self.timers
+            .insert(tag, TimerPurpose::JobDone { envelope: env });
     }
 
-    pub(super) fn on_job_done(&mut self, name: &str, env: Envelope, now: SimTime) {
-        let Some(mut inst) = self.instances.remove(name) else {
+    pub(super) fn on_job_done(&mut self, env: Envelope, now: SimTime) {
+        let Some(inst) = self.instances.at_mut(env.to) else {
             return;
         };
         inst.inflight = inst.inflight.saturating_sub(1);
 
         // Channel-preservation accounting (loss/dup/reorder detection).
         if env.msg.kind != MessageKind::Reply {
-            let _ = inst.tracker.observe(&env.msg.from, env.msg.seq);
+            let _ = inst.tracker.observe(&env.from, env.msg.seq);
         }
 
         // Latency metrics.
@@ -194,33 +185,30 @@ impl Runtime {
         self.m.e2e_latency.observe(ms(e2e));
         if env.msg.kind == MessageKind::Reply {
             if let Some(corr) = env.msg.correlation {
-                if let Some((sent, _)) = self.pending_requests.remove(&corr) {
+                if let Some(sent) = self.pending_requests.remove(&corr) {
                     self.m.rtt.observe(ms(now.saturating_since(sent)));
                 }
             }
         }
 
-        // Hand to the component (replies only if it declares the op).
+        // Hand to the component (replies only if it declares the op), in
+        // the runtime's reused call context.
         let deliver =
             env.msg.kind != MessageKind::Reply || inst.component.provided().provides(&env.msg.op);
-        let mut effects = Vec::new();
+        let mut ctx = std::mem::take(&mut self.call);
         if deliver {
-            let mut ctx = CallCtx::new(now, name);
-            match inst.component.on_message(&mut ctx, &env.msg) {
-                Ok(()) => {}
-                Err(e) => {
-                    inst.errors += 1;
-                    self.m.handler_errors.incr();
-                    self.events.push((
-                        now,
-                        RuntimeEvent::HandlerError {
-                            instance: name.to_owned(),
-                            details: e.to_string(),
-                        },
-                    ));
-                }
+            ctx.rearm(now, self.names.name(env.to).clone());
+            if let Err(e) = inst.component.on_message(&mut ctx, &env.msg) {
+                inst.errors += 1;
+                self.m.handler_errors.incr();
+                self.events.push((
+                    now,
+                    RuntimeEvent::HandlerError {
+                        instance: self.names.name(env.to).to_string(),
+                        details: e.to_string(),
+                    },
+                ));
             }
-            effects = ctx.into_effects();
         }
         inst.processed += 1;
 
@@ -228,149 +216,147 @@ impl Runtime {
         if drained {
             inst.lifecycle = Lifecycle::Quiescent;
         }
-        self.instances.insert(name.to_owned(), inst);
-        self.apply_effects(name, effects, Some(&env.msg), now);
+        self.apply_effects(env.to, ctx.effects_mut(), Some(&env.msg), now);
+        self.call = ctx;
         if drained {
             self.advance_reconfig();
         }
     }
 
-    pub(super) fn dispatch_send(&mut self, from: &str, port: &str, msg: Message) {
-        let key = (from.to_owned(), port.to_owned());
-        let Some(binding) = self.bindings.get(&key) else {
+    pub(super) fn dispatch_send(&mut self, from: NameId, port: &str, msg: Message) {
+        let Some(binding) = self.bindings.find(from, port) else {
             self.m.unrouted.incr();
             self.events.push((
                 self.kernel.now(),
                 RuntimeEvent::Dropped {
-                    reason: format!("no binding at `{from}.{port}`"),
+                    reason: format!("no binding at `{}.{port}`", self.names.name(from)),
                 },
             ));
             return;
         };
-        let via = binding.decl.via.clone();
-        let targets_decl = binding.decl.to.clone();
-        let channels = binding.channels.clone();
+        let via = binding.via;
+        let target_count = binding.targets.len();
 
         let now = self.kernel.now();
-        let connector = self.connectors.get_mut(&via).expect("bound connector");
-        let mediation = connector.mediate(&msg, now, targets_decl.len());
+        let connector = self.connectors.at_mut(via).expect("bound connector");
+        let mediation = connector.mediate(&msg, now, target_count);
         if let Some(v) = &mediation.violation {
             self.events.push((
                 now,
                 RuntimeEvent::ProtocolViolation {
-                    connector: via.clone(),
+                    connector: self.names.name(via).to_string(),
                     details: v.to_string(),
                 },
             ));
         }
 
-        let has_retry = self
-            .connectors
-            .get(&via)
-            .and_then(|c| c.spec().retry)
-            .is_some();
-        for idx in mediation.targets {
-            let (to_inst, to_port) = &targets_decl[idx];
-            let mut env = self.finalize(from, to_inst, to_port, msg.clone(), Some(&via));
-            env.extra_cost = mediation.extra_cost;
-            let size = (env.msg.wire_size() as f64 * mediation.size_factor) as u64;
-            let backup = has_retry.then(|| env.clone());
-            if !self.kernel.send(channels[idx], env, size).is_sent() {
-                self.m.dropped.incr();
-                if let Some(env) = backup {
-                    self.maybe_retry(env, now);
-                }
-            }
+        // Every target but the last gets a copy; the last takes `msg`.
+        let Range { start, end } = mediation.targets.clone();
+        for idx in start..end - 1 {
+            self.send_to_target(from, port, idx, msg.clone(), &mediation);
         }
+        self.send_to_target(from, port, end - 1, msg, &mediation);
 
         // Deferred connector interchange: apply once the collaboration
         // automaton reaches a final (quiescent) state.
-        if self.pending_connector_swaps.contains_key(&via) {
-            let quiescent = self
-                .connectors
-                .get(&via)
-                .is_some_and(Connector::at_quiescent_point);
-            if quiescent {
-                if let Some(spec) = self.pending_connector_swaps.remove(&via) {
-                    let _ = self.adapt_connector(&via, spec);
+        if !self.pending_connector_swaps.is_empty() {
+            let name = self.names.name(via).clone();
+            if self.pending_connector_swaps.contains_key(name.as_str()) {
+                let quiescent = self
+                    .connectors
+                    .at(via)
+                    .is_some_and(Connector::at_quiescent_point);
+                if quiescent {
+                    if let Some(spec) = self.pending_connector_swaps.remove(name.as_str()) {
+                        let _ = self.adapt_connector(&name, spec);
+                    }
                 }
             }
         }
     }
 
+    /// Sends `msg` to target `idx` of the binding on `from`'s `port`, as
+    /// mediated, and schedules a retry if the send fails.
+    fn send_to_target(
+        &mut self,
+        from: NameId,
+        port: &str,
+        idx: usize,
+        msg: Message,
+        mediation: &Mediation,
+    ) {
+        let binding = self.bindings.find(from, port).expect("routed binding");
+        let (via, to, ch) = (binding.via, binding.targets[idx], binding.channels[idx]);
+        let mut env = self.finalize(from, to, msg, Some(via));
+        env.extra_cost = mediation.extra_cost;
+        let size = (env.msg.wire_size() as f64 * mediation.size_factor) as u64;
+        if let Err((_, env)) = self.kernel.try_send(ch, env, size) {
+            self.m.dropped.incr();
+            let now = self.kernel.now();
+            self.maybe_retry(env, now);
+        }
+    }
+
     /// Assigns id, per-flow sequence number, sender and timestamp to a
-    /// message copy headed for `to_inst`, and registers pending requests.
+    /// message copy headed for `to`, and registers pending requests.
     pub(super) fn finalize(
         &mut self,
-        from: &str,
-        to_inst: &str,
-        to_port: &str,
+        from: NameId,
+        to: NameId,
         mut msg: Message,
-        via: Option<&str>,
+        via: Option<NameId>,
     ) -> Envelope {
         msg.id = MessageId(self.next_msg_id);
         self.next_msg_id += 1;
-        msg.from = from.to_owned();
+        msg.from = self.names.name(from).clone();
         msg.sent_at = self.kernel.now();
         if msg.kind != MessageKind::Reply {
-            // Render the `from->to` flow key into the reusable buffer: the
-            // sequence bump and the connector's sequence check both look up
-            // by `&str`, so steady-state dispatch allocates no key strings.
-            use std::fmt::Write as _;
-            self.seq_key_buf.clear();
-            let _ = write!(self.seq_key_buf, "{from}->{to_inst}");
-            let seq = match self.flow_seq.get_mut(self.seq_key_buf.as_str()) {
-                Some(seq) => seq,
-                None => self.flow_seq.entry(self.seq_key_buf.clone()).or_insert(0),
-            };
+            let seq = self.flow_seq.entry((from, to)).or_insert(0);
             msg.seq = *seq;
             *seq += 1;
-            if let Some(via) = via {
-                if let Some(conn) = self.connectors.get_mut(via) {
-                    if conn.has_sequence_check() {
-                        conn.observe_sequence(&self.seq_key_buf, msg.seq);
-                    }
+            if let Some(conn) = via.and_then(|via| self.connectors.at_mut(via)) {
+                if conn.has_sequence_check() {
+                    conn.observe_sequence((from, to), msg.seq);
                 }
             }
         }
         if msg.kind == MessageKind::Request {
-            self.pending_requests
-                .insert(msg.id, (msg.sent_at, from.to_owned()));
+            self.pending_requests.insert(msg.id, msg.sent_at);
         }
         Envelope {
             msg,
-            to_instance: to_inst.to_owned(),
-            to_port: to_port.to_owned(),
+            from,
+            to,
+            via,
             extra_cost: 0.0,
-            via: via.map(str::to_owned),
             attempt: 0,
             kind: EnvKind::Normal,
         }
     }
 
-    pub(super) fn route_reply(&mut self, from: &str, to: &str, reply: Message, now: SimTime) {
+    pub(super) fn route_reply(&mut self, from: NameId, to: &str, reply: Message, now: SimTime) {
         if to == EXTERNAL {
             let mut reply = reply;
             reply.id = MessageId(self.next_msg_id);
             self.next_msg_id += 1;
-            reply.from = from.to_owned();
+            reply.from = self.names.name(from).clone();
             reply.sent_at = now;
             if let Some(corr) = reply.correlation {
-                if let Some((sent, _)) = self.pending_requests.remove(&corr) {
+                if let Some(sent) = self.pending_requests.remove(&corr) {
                     self.m.rtt.observe(ms(now.saturating_since(sent)));
                 }
             }
             self.outbox.push((now, reply));
             return;
         }
-        let Some(from_node) = self.instances.get(from).map(|i| i.node) else {
+        let Some(from_node) = self.instances.at(from).map(|i| i.node) else {
             return;
         };
-        let Some(to_node) = self.instances.get(to).map(|i| i.node) else {
+        let Some(to_node) = self.instances.get(&self.names, to).map(|i| i.node) else {
             self.m.dropped.incr();
             return;
         };
-        let key = (from.to_owned(), to.to_owned());
+        let key = (self.names.name(from).to_string(), to.to_owned());
         let ch = match self.reply_channels.get(&key) {
             Some(ch) => *ch,
             None => {
@@ -379,7 +365,8 @@ impl Runtime {
                 ch
             }
         };
-        let env = self.finalize(from, to, "reply", reply, None);
+        let to = self.names.intern(to);
+        let env = self.finalize(from, to, reply, None);
         let size = env.msg.wire_size();
         if !self.kernel.send(ch, env, size).is_sent() {
             self.m.dropped.incr();

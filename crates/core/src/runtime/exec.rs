@@ -68,7 +68,6 @@ enum Undo {
     ReinsertInstance {
         name: String,
         instance: Box<Instance>,
-        external: Option<ChannelId>,
         replies: Vec<((String, String), ChannelId)>,
     },
     /// Re-insert a removed binding (its channels were never closed —
@@ -270,14 +269,15 @@ impl Runtime {
                         continue;
                     };
                     if let Some(target) = action.quiesce_target().map(str::to_owned) {
-                        if !self.instances.contains_key(&target) {
+                        if !self.instances.contains_key(&self.names, &target) {
                             self.abort_txn(format!("unknown component `{target}`"));
                             continue;
                         }
                         self.begin_quiesce(&target);
                         self.exec.active.as_mut().expect("active").phase =
                             ExecPhase::AwaitQuiesce { action };
-                        if self.instances[&target].lifecycle == Lifecycle::Quiescent {
+                        let inst = self.instances.get(&self.names, &target);
+                        if inst.is_some_and(|i| i.lifecycle == Lifecycle::Quiescent) {
                             continue; // already drained: mutate immediately
                         }
                         return; // wait for in-flight jobs to finish
@@ -293,7 +293,7 @@ impl Runtime {
                     let target = action.quiesce_target().expect("quiesce action").to_owned();
                     if self
                         .instances
-                        .get(&target)
+                        .get(&self.names, &target)
                         .is_some_and(|i| i.lifecycle != Lifecycle::Quiescent)
                     {
                         // Not drained yet; keep waiting.
@@ -381,7 +381,7 @@ impl Runtime {
             );
         }
         let mut prior = Lifecycle::Active;
-        if let Some(inst) = self.instances.get_mut(name) {
+        if let Some(inst) = self.instances.get_mut(&self.names, name) {
             prior = inst.lifecycle;
             // `Failed` instances can be quiesced too — that is exactly how
             // repair plans reach them (a crash cancelled their in-flight
@@ -403,15 +403,15 @@ impl Runtime {
 
     fn inbound_channels(&self, name: &str) -> Vec<ChannelId> {
         let mut out = Vec::new();
-        if let Some(ch) = self.external_channels.get(name) {
-            out.push(*ch);
+        if let Some(inst) = self.instances.get(&self.names, name) {
+            out.push(inst.external);
         }
         for ((_, to), ch) in &self.reply_channels {
             if to == name {
                 out.push(*ch);
             }
         }
-        for b in self.bindings.values() {
+        for b in self.bindings.values(&self.names) {
             for (idx, (inst, _)) in b.decl.to.iter().enumerate() {
                 if inst == name {
                     out.push(b.channels[idx]);
@@ -464,7 +464,7 @@ impl Runtime {
                     now.as_micros(),
                 );
             }
-            if let Some(inst) = self.instances.get_mut(&name) {
+            if let Some(inst) = self.instances.get_mut(&self.names, &name) {
                 inst.lifecycle = Lifecycle::Active;
                 if let Some(at) = inst.blocked_at.take() {
                     let blackout = now.saturating_since(at);
@@ -520,7 +520,7 @@ impl Runtime {
                     now.as_micros(),
                 );
             }
-            if let Some(inst) = self.instances.get_mut(&name) {
+            if let Some(inst) = self.instances.get_mut(&self.names, &name) {
                 inst.lifecycle = bt.prior;
                 if let Some(at) = inst.blocked_at.take() {
                     let blackout = now.saturating_since(at);
@@ -546,7 +546,7 @@ impl Runtime {
     fn apply_undo(&mut self, undo: Undo, txn: &mut PlanTxn, plan: &str) {
         match undo {
             Undo::Plan(InverseAction::RemoveComponent { name }) => {
-                if let Some(ch) = self.external_channels.remove(&name) {
+                if let Some(ch) = self.instances.get(&self.names, &name).map(|i| i.external) {
                     self.close_now(ch, txn, plan);
                 }
                 let reply_keys: Vec<(String, String)> = self
@@ -560,20 +560,20 @@ impl Runtime {
                         self.close_now(ch, txn, plan);
                     }
                 }
-                self.instances.remove(&name);
+                self.instances.remove(&self.names, &name);
                 txn.blocked.remove(&name);
             }
             Undo::Plan(InverseAction::MigrateBack { name, to }) => {
-                if let Some(inst) = self.instances.get_mut(&name) {
+                if let Some(inst) = self.instances.get_mut(&self.names, &name) {
                     inst.node = to;
                 }
                 self.rehome_channels(&name, to);
             }
             Undo::Plan(InverseAction::RemoveConnector { name }) => {
-                self.connectors.remove(&name);
+                self.connectors.remove(&self.names, &name);
             }
             Undo::Plan(InverseAction::Unbind { from }) => {
-                if let Some(b) = self.bindings.remove(&from) {
+                if let Some(b) = self.bindings.remove(&self.names, &from) {
                     for ch in b.channels {
                         self.close_now(ch, txn, plan);
                     }
@@ -585,7 +585,7 @@ impl Runtime {
                 type_name,
                 version,
             } => {
-                if let Some(inst) = self.instances.get_mut(&name) {
+                if let Some(inst) = self.instances.get_mut(&self.names, &name) {
                     inst.component = component;
                     inst.type_name = type_name;
                     inst.version = version;
@@ -594,22 +594,18 @@ impl Runtime {
             Undo::ReinsertInstance {
                 name,
                 instance,
-                external,
                 replies,
             } => {
-                self.instances.insert(name.clone(), *instance);
-                if let Some(ch) = external {
-                    self.external_channels.insert(name, ch);
-                }
+                self.instances.insert(&mut self.names, &name, *instance);
                 for (key, ch) in replies {
                     self.reply_channels.insert(key, ch);
                 }
             }
-            Undo::ReinsertBinding { from, binding } => {
-                self.bindings.insert(from, binding);
+            Undo::ReinsertBinding { binding, .. } => {
+                self.bindings.insert(binding);
             }
             Undo::ReinsertConnector { name, connector } => {
-                self.connectors.insert(name, *connector);
+                self.connectors.insert(&mut self.names, &name, *connector);
             }
         }
     }
@@ -652,7 +648,7 @@ impl Runtime {
             } => {
                 let inst = self
                     .instances
-                    .get(name)
+                    .get(&self.names, name)
                     .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
                 let mut replacement =
                     self.registry
@@ -688,7 +684,7 @@ impl Runtime {
                         self.kernel.run_job(node, cost)
                     }
                 };
-                let inst = self.instances.get_mut(name).expect("checked");
+                let inst = self.instances.get_mut(&self.names, name).expect("checked");
                 let old = std::mem::replace(&mut inst.component, replacement);
                 let old_type = std::mem::replace(&mut inst.type_name, type_name.clone());
                 let old_version = std::mem::replace(&mut inst.version, *version);
@@ -711,7 +707,7 @@ impl Runtime {
                 }
                 let inst = self
                     .instances
-                    .get(name)
+                    .get(&self.names, name)
                     .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
                 let from_node = inst.node;
                 let snap = inst.component.snapshot();
@@ -733,7 +729,7 @@ impl Runtime {
                 };
                 // Commit the move now; the transfer delay elapses before
                 // the action completes. The inverse migrates back.
-                let inst = self.instances.get_mut(name).expect("checked");
+                let inst = self.instances.get_mut(&self.names, name).expect("checked");
                 inst.node = *to;
                 self.rehome_channels(name, *to);
                 self.journal(Undo::Plan(
@@ -750,7 +746,7 @@ impl Runtime {
             ReconfigAction::RemoveComponent { name } => {
                 let used_by_binding = self
                     .bindings
-                    .values()
+                    .values(&self.names)
                     .any(|b| b.decl.from.0 == *name || b.decl.to.iter().any(|(i, _)| i == name));
                 if used_by_binding {
                     return Err(RuntimeError::ReconfigFailed {
@@ -760,9 +756,8 @@ impl Runtime {
                 }
                 let instance = self
                     .instances
-                    .remove(name)
+                    .remove(&self.names, name)
                     .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
-                let external = self.external_channels.remove(name);
                 let reply_keys: Vec<(String, String)> = self
                     .reply_channels
                     .keys()
@@ -777,16 +772,13 @@ impl Runtime {
                 }
                 // Closure is deferred to commit: rollback re-inserts the
                 // same live channels with their held messages intact.
-                if let Some(ch) = external {
-                    self.defer_close(ch);
-                }
+                self.defer_close(instance.external);
                 for (_, ch) in &replies {
                     self.defer_close(*ch);
                 }
                 self.journal(Undo::ReinsertInstance {
                     name: name.clone(),
                     instance: Box::new(instance),
-                    external,
                     replies,
                 });
                 Ok(None)
@@ -820,14 +812,14 @@ impl Runtime {
                 // Same replacement `adapt_connector` performs, but the
                 // displaced connector object (id and statistics intact) is
                 // captured for the journal instead of dropped.
-                if !self.connectors.contains_key(name) {
+                if !self.connectors.contains_key(&self.names, name) {
                     return Err(RuntimeError::UnknownConnector(name.clone()));
                 }
                 let id = ConnectorId(self.next_connector_id);
                 self.next_connector_id += 1;
-                let prior = self
-                    .connectors
-                    .insert(name.clone(), Connector::new(id, spec.clone()));
+                let prior =
+                    self.connectors
+                        .insert(&mut self.names, name, Connector::new(id, spec.clone()));
                 if let Some(connector) = prior {
                     self.journal(Undo::ReinsertConnector {
                         name: name.clone(),
@@ -837,7 +829,11 @@ impl Runtime {
                 Ok(())
             }
             ReconfigAction::RemoveConnector { name } => {
-                if self.bindings.values().any(|b| b.decl.via == *name) {
+                if self
+                    .bindings
+                    .values(&self.names)
+                    .any(|b| b.decl.via == *name)
+                {
                     return Err(RuntimeError::ReconfigFailed {
                         action: action.kind().to_owned(),
                         reason: format!("connector `{name}` still in use"),
@@ -845,7 +841,7 @@ impl Runtime {
                 }
                 let connector = self
                     .connectors
-                    .remove(name)
+                    .remove(&self.names, name)
                     .ok_or_else(|| RuntimeError::UnknownConnector(name.clone()))?;
                 self.journal(Undo::ReinsertConnector {
                     name: name.clone(),
@@ -864,7 +860,7 @@ impl Runtime {
                 // Transaction-aware unbind: the binding leaves the graph
                 // now, but its channels stay open (closure deferred to
                 // commit) so rollback can re-insert them intact.
-                let binding = self.bindings.remove(from).ok_or_else(|| {
+                let binding = self.bindings.remove(&self.names, from).ok_or_else(|| {
                     RuntimeError::InvalidConfiguration(format!(
                         "no binding at `{}.{}`",
                         from.0, from.1

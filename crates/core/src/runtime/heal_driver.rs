@@ -229,7 +229,7 @@ impl Runtime {
                     && !matches!(self.heal.policy, RepairPolicy::None)
                     && self
                         .instances
-                        .values()
+                        .values(&self.names)
                         .any(|i| i.node == node && i.lifecycle == Lifecycle::Failed);
                 if needs_repair {
                     self.heal.repair_queue.insert(node);
@@ -258,9 +258,9 @@ impl Runtime {
             .timers
             .iter()
             .filter_map(|(tag, p)| match p {
-                TimerPurpose::JobDone { instance, .. } => self
+                TimerPurpose::JobDone { envelope } => self
                     .instances
-                    .get(instance)
+                    .at(envelope.to)
                     .is_some_and(|i| i.node == node)
                     .then_some(*tag),
                 _ => None,
@@ -268,13 +268,15 @@ impl Runtime {
             .collect();
         let mut lost: BTreeMap<String, u64> = BTreeMap::new();
         for tag in doomed {
-            let Some(TimerPurpose::JobDone { instance, .. }) = self.timers.remove(&tag) else {
+            let Some(TimerPurpose::JobDone { envelope }) = self.timers.remove(&tag) else {
                 continue;
             };
-            if let Some(inst) = self.instances.get_mut(&instance) {
+            if let Some(inst) = self.instances.at_mut(envelope.to) {
                 inst.inflight = inst.inflight.saturating_sub(1);
             }
-            *lost.entry(instance).or_insert(0) += 1;
+            *lost
+                .entry(self.names.name(envelope.to).to_string())
+                .or_insert(0) += 1;
         }
         let mut drained = false;
         for (instance, count) in &lost {
@@ -293,7 +295,7 @@ impl Runtime {
                     ),
                 },
             ));
-            if let Some(inst) = self.instances.get_mut(instance) {
+            if let Some(inst) = self.instances.get_mut(&self.names, instance) {
                 if inst.lifecycle == Lifecycle::Quiescing && inst.inflight == 0 {
                     inst.lifecycle = Lifecycle::Quiescent;
                     drained = true;

@@ -25,11 +25,11 @@ impl Runtime {
         let now = self.kernel.now();
         let components = self
             .instances
-            .iter()
+            .iter(&self.names)
             .map(|(name, inst)| {
                 let latency = inst.latency.snapshot();
                 ComponentObservation {
-                    name: name.clone(),
+                    name: name.to_string(),
                     type_name: inst.type_name.clone(),
                     version: inst.version,
                     node: inst.node,
@@ -43,7 +43,7 @@ impl Runtime {
                     custom: inst
                         .custom
                         .iter()
-                        .map(|(k, s)| (k.clone(), s.snapshot().mean()))
+                        .map(|(k, s)| (k.to_string(), s.snapshot().mean()))
                         .collect(),
                 }
             })
@@ -60,17 +60,17 @@ impl Runtime {
                 effective_capacity: n.effective_capacity(now),
                 hosted: self
                     .instances
-                    .iter()
+                    .iter(&self.names)
                     .filter(|(_, i)| i.node == n.id())
-                    .map(|(name, _)| name.clone())
+                    .map(|(name, _)| name.to_string())
                     .collect(),
             })
             .collect();
         let connectors = self
             .connectors
-            .iter()
+            .iter(&self.names)
             .map(|(name, c)| ConnectorObservation {
-                name: name.clone(),
+                name: name.to_string(),
                 mediated: c.stats().mediated,
                 violations: c.stats().violations,
                 seq_anomalies: c.stats().seq_anomalies,
@@ -87,14 +87,16 @@ impl Runtime {
         }
     }
 
+    /// Applies (and drains) the effects a handler of instance `from`
+    /// buffered; `current` is the message it was handling, if any.
     pub(super) fn apply_effects(
         &mut self,
-        from: &str,
-        effects: Vec<Effect>,
+        from: NameId,
+        effects: &mut Vec<Effect>,
         current: Option<&Message>,
         now: SimTime,
     ) {
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { port, message } => {
                     self.dispatch_send(from, &port, message);
@@ -103,7 +105,7 @@ impl Runtime {
                     if let Some(cur) = current {
                         if cur.kind == MessageKind::Request {
                             let reply = Message::reply_to(cur, value);
-                            self.route_reply(from, &cur.from.clone(), reply, now);
+                            self.route_reply(from, &cur.from, reply, now);
                         }
                     }
                 }
@@ -112,20 +114,23 @@ impl Runtime {
                     self.timers.insert(
                         t,
                         TimerPurpose::ComponentTimer {
-                            instance: from.to_owned(),
+                            instance: from,
                             tag,
                         },
                     );
                 }
                 Effect::Metric { name, value } => {
                     let metrics = &self.obs.metrics;
-                    if let Some(inst) = self.instances.get_mut(from) {
-                        inst.custom
-                            .entry(name)
-                            .or_insert_with_key(|key| {
-                                metrics.histogram(&format!("comp.{from}.{key}"))
-                            })
-                            .observe(value);
+                    if let Some(inst) = self.instances.at_mut(from) {
+                        match inst.custom.get(name.as_str()) {
+                            Some(h) => h.observe(value),
+                            None => {
+                                let key = format!("comp.{}.{name}", self.names.name(from));
+                                let h = metrics.histogram(&key);
+                                h.observe(value);
+                                inst.custom.insert(name, h);
+                            }
+                        }
                     }
                 }
             }

@@ -53,8 +53,9 @@
 //! routing, retries, replies), `exec` (the transactional plan engine),
 //! `validate` (the up-front validation pass), `detect_driver` (heartbeat
 //! transport + phi-accrual ticks), `heal_driver` (repair planning and
-//! crash bookkeeping), `meta` (RAML observation/intercession) and
-//! `metrics` (aggregate metric handles).
+//! crash bookkeeping), `meta` (RAML observation/intercession),
+//! `metrics` (aggregate metric handles) and `names` (the append-only name
+//! interner and the id-keyed tables the message path reads).
 
 use crate::component::{CallCtx, Component, ComponentId, Effect, Lifecycle};
 use crate::config::{BindingDecl, ComponentDecl, Configuration};
@@ -63,7 +64,7 @@ use crate::coverage::{AdaptationCoverage, DetectPhase, PlanOutcome};
 use crate::detector::{DetectorConfig, DetectorEvent, FailureDetector};
 use crate::error::RuntimeError;
 use crate::heal::{PlanMutation, RepairPolicy};
-use crate::message::{Message, MessageId, MessageKind, SequenceTracker, Value};
+use crate::message::{Message, MessageId, MessageKind, Name, SequenceTracker, Value};
 use crate::raml::{
     ComponentObservation, ConnectorObservation, Intercession, NodeObservation, Raml, SystemSnapshot,
 };
@@ -76,7 +77,8 @@ use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 mod detect_driver;
 mod dispatch;
@@ -84,6 +86,7 @@ mod exec;
 mod heal_driver;
 mod meta;
 mod metrics;
+mod names;
 mod negotiate_driver;
 mod structure;
 #[cfg(test)]
@@ -98,6 +101,7 @@ pub use twin::{TwinConfig, TwinPrediction};
 use exec::ExecState;
 use heal_driver::HealState;
 use metrics::MetricHandles;
+use names::{BindingRt, Bindings, Interner, NameId, NameTable, EXTERNAL_ID};
 use negotiate_driver::NegotiateState;
 use twin::TwinState;
 
@@ -120,18 +124,19 @@ enum EnvKind {
     Heartbeat(NodeId),
 }
 
-/// A message in transit between two component instances.
+/// A message in transit between two component instances. Endpoints and
+/// the connector are interned ids, so building, moving and retrying an
+/// envelope copies no strings.
 #[derive(Debug, Clone)]
 struct Envelope {
     msg: Message,
-    to_instance: String,
-    /// Target port name; carried for diagnostics and future port-level
-    /// dispatch.
-    #[allow(dead_code)]
-    to_port: String,
-    extra_cost: f64,
+    /// Sending instance ([`EXTERNAL_ID`] for injected workload).
+    from: NameId,
+    /// Receiving instance.
+    to: NameId,
     /// Connector that mediated this copy, if any.
-    via: Option<String>,
+    via: Option<NameId>,
+    extra_cost: f64,
     /// How many times this copy has already been (re)sent.
     attempt: u32,
     kind: EnvKind,
@@ -181,34 +186,31 @@ struct Instance {
     errors: u64,
     /// Handle into the shared registry (`comp.<name>.latency_ms`).
     latency: HistogramHandle,
-    tracker: SequenceTracker,
+    /// Channel-preservation accounting, per sending instance.
+    tracker: SequenceTracker<NameId>,
     /// Handles into the shared registry (`comp.<name>.<metric>`), interned
     /// per custom metric name.
-    custom: BTreeMap<String, HistogramHandle>,
+    custom: BTreeMap<Name, HistogramHandle>,
     blocked_at: Option<SimTime>,
-}
-
-#[derive(Debug, Clone)]
-struct BindingRt {
-    decl: BindingDecl,
-    channels: Vec<ChannelId>,
+    /// The channel injected workload arrives on.
+    external: ChannelId,
 }
 
 #[derive(Debug, Clone)]
 enum TimerPurpose {
+    /// A handler job finished; the envelope's `to` is the instance.
     JobDone {
-        instance: String,
-        envelope: Box<Envelope>,
+        envelope: Envelope,
     },
     ComponentTimer {
-        instance: String,
+        instance: NameId,
         tag: u64,
     },
     RamlTick,
     TransferDone,
     Inject {
-        target: String,
-        message: Box<Message>,
+        target: NameId,
+        message: Message,
     },
     /// Periodic heartbeat emission + suspicion evaluation.
     DetectorTick,
@@ -216,9 +218,14 @@ enum TimerPurpose {
     NegotiateTick,
     /// A backed-off redelivery of a dropped envelope.
     Retry {
-        envelope: Box<Envelope>,
+        envelope: Envelope,
     },
 }
+
+/// Pending timers by kernel tag. A hash map keeps its capacity as timers
+/// come and go, so arming a timer on the message path allocates nothing;
+/// the unkeyed default hasher keeps its iteration order reproducible.
+type TimerMap = HashMap<u64, TimerPurpose, BuildHasherDefault<DefaultHasher>>;
 
 /// The failure detector plus its heartbeat transport: one kernel channel
 /// per watched node, converging on the monitor node.
@@ -265,19 +272,20 @@ struct DetectorRt {
 pub struct Runtime {
     kernel: Kernel<Envelope>,
     registry: ImplementationRegistry,
-    instances: BTreeMap<String, Instance>,
-    connectors: BTreeMap<String, Connector>,
-    bindings: BTreeMap<(String, String), BindingRt>,
-    external_channels: BTreeMap<String, ChannelId>,
+    /// Every instance and connector name seen so far (see [`names`]).
+    names: Interner,
+    instances: NameTable<Instance>,
+    connectors: NameTable<Connector>,
+    bindings: Bindings,
     reply_channels: BTreeMap<(String, String), ChannelId>,
-    timers: BTreeMap<u64, TimerPurpose>,
-    /// Per-flow send sequence numbers, keyed by the rendered `from->to`
-    /// flow key (see `seq_key_buf`).
-    flow_seq: BTreeMap<String, u64>,
-    /// Reusable buffer for building `from->to` flow keys on the dispatch
-    /// path without a per-message `format!` allocation.
-    seq_key_buf: String,
-    pending_requests: BTreeMap<MessageId, (SimTime, String)>,
+    timers: TimerMap,
+    /// Per-flow send sequence numbers, keyed by `(from, to)` ids.
+    flow_seq: BTreeMap<(NameId, NameId), u64>,
+    /// Send times of requests awaiting a reply (for RTT).
+    pending_requests: BTreeMap<MessageId, SimTime>,
+    /// The handler context, re-armed for every component call so its
+    /// effect buffer is reused.
+    call: CallCtx,
     next_msg_id: u64,
     next_component_id: u64,
     next_connector_id: u64,
@@ -324,15 +332,15 @@ impl Runtime {
         Runtime {
             kernel,
             registry,
-            instances: BTreeMap::new(),
-            connectors: BTreeMap::new(),
-            bindings: BTreeMap::new(),
-            external_channels: BTreeMap::new(),
+            names: Interner::default(),
+            instances: NameTable::default(),
+            connectors: NameTable::default(),
+            bindings: Bindings::default(),
             reply_channels: BTreeMap::new(),
-            timers: BTreeMap::new(),
+            timers: TimerMap::default(),
             flow_seq: BTreeMap::new(),
-            seq_key_buf: String::new(),
             pending_requests: BTreeMap::new(),
+            call: CallCtx::default(),
             next_msg_id: 1,
             next_component_id: 1,
             next_connector_id: 1,
@@ -361,17 +369,24 @@ impl Runtime {
     ///
     /// Fails if `target` does not exist.
     pub fn inject(&mut self, target: &str, msg: Message) -> Result<MessageId, RuntimeError> {
-        let ch = *self
-            .external_channels
-            .get(target)
+        let to = self
+            .instances
+            .id_of(&self.names, target)
             .ok_or_else(|| RuntimeError::UnknownComponent(target.to_owned()))?;
-        let env = self.finalize(EXTERNAL, target, "in", msg, None);
+        Ok(self.inject_on(to, msg))
+    }
+
+    /// Sends an external message to the live instance `to` over its
+    /// external channel.
+    fn inject_on(&mut self, to: NameId, msg: Message) -> MessageId {
+        let ch = self.instances.at(to).expect("live instance").external;
+        let env = self.finalize(EXTERNAL_ID, to, msg, None);
         let id = env.msg.id;
         let size = env.msg.wire_size();
         if !self.kernel.send(ch, env, size).is_sent() {
             self.m.dropped.incr();
         }
-        Ok(id)
+        id
     }
 
     /// Schedules an external message for `delay` from now.
@@ -385,15 +400,15 @@ impl Runtime {
         target: &str,
         msg: Message,
     ) -> Result<(), RuntimeError> {
-        if !self.instances.contains_key(target) {
+        let Some(target) = self.instances.id_of(&self.names, target) else {
             return Err(RuntimeError::UnknownComponent(target.to_owned()));
-        }
+        };
         let tag = self.kernel.set_timer(delay);
         self.timers.insert(
             tag,
             TimerPurpose::Inject {
-                target: target.to_owned(),
-                message: Box::new(msg),
+                target,
+                message: msg,
             },
         );
         Ok(())
@@ -460,26 +475,26 @@ impl Runtime {
             return;
         };
         match purpose {
-            TimerPurpose::JobDone { instance, envelope } => {
-                self.on_job_done(&instance, *envelope, now);
-            }
+            TimerPurpose::JobDone { envelope } => self.on_job_done(envelope, now),
             TimerPurpose::ComponentTimer { instance, tag } => {
-                if let Some(mut inst) = self.instances.remove(&instance) {
-                    let mut ctx = CallCtx::new(now, &instance);
+                let mut ctx = std::mem::take(&mut self.call);
+                if let Some(inst) = self.instances.at_mut(instance) {
+                    ctx.rearm(now, self.names.name(instance).clone());
                     inst.component.on_timer(&mut ctx, tag);
-                    let effects = ctx.into_effects();
-                    self.instances.insert(instance.clone(), inst);
-                    self.apply_effects(&instance, effects, None, now);
+                    self.apply_effects(instance, ctx.effects_mut(), None, now);
                 }
+                self.call = ctx;
             }
             TimerPurpose::RamlTick => self.on_raml_tick(now),
             TimerPurpose::TransferDone => self.advance_reconfig(),
             TimerPurpose::Inject { target, message } => {
-                let _ = self.inject(&target, *message);
+                if self.instances.at(target).is_some() {
+                    self.inject_on(target, message);
+                }
             }
             TimerPurpose::DetectorTick => self.on_detector_tick(now),
             TimerPurpose::NegotiateTick => self.on_negotiate_tick(now),
-            TimerPurpose::Retry { envelope } => self.resend(*envelope, now),
+            TimerPurpose::Retry { envelope } => self.resend(envelope, now),
         }
     }
 
@@ -549,13 +564,13 @@ impl Runtime {
     /// Lifecycle of an instance, if it exists.
     #[must_use]
     pub fn lifecycle(&self, name: &str) -> Option<Lifecycle> {
-        self.instances.get(name).map(|i| i.lifecycle)
+        self.instances.get(&self.names, name).map(|i| i.lifecycle)
     }
 
     /// The node currently hosting an instance.
     #[must_use]
     pub fn node_of(&self, name: &str) -> Option<NodeId> {
-        self.instances.get(name).map(|i| i.node)
+        self.instances.get(&self.names, name).map(|i| i.node)
     }
 
     /// Removes and returns all replies addressed to the external client.
@@ -570,7 +585,7 @@ impl Runtime {
 
     /// Names of live component instances.
     pub fn instance_names(&self) -> impl Iterator<Item = &str> {
-        self.instances.keys().map(String::as_str)
+        self.instances.keys(&self.names).map(Name::as_str)
     }
 
     /// A deterministic textual rendering of the configuration graph:
@@ -584,17 +599,18 @@ impl Runtime {
     pub fn graph_fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, inst) in &self.instances {
+        for (name, inst) in self.instances.iter(&self.names) {
             let _ = writeln!(
                 out,
                 "component {name}: {} v{} on {}",
                 inst.type_name, inst.version, inst.node
             );
         }
-        for (name, c) in &self.connectors {
+        for (name, c) in self.connectors.iter(&self.names) {
             let _ = writeln!(out, "connector {name}: {:?}", c.spec());
         }
-        for (from, b) in &self.bindings {
+        for b in self.bindings.values(&self.names) {
+            let from = &b.decl.from;
             let _ = writeln!(
                 out,
                 "binding {}.{} via {} -> {:?}",
@@ -613,7 +629,7 @@ impl Runtime {
     pub fn state_fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, inst) in &self.instances {
+        for (name, inst) in self.instances.iter(&self.names) {
             let _ = writeln!(out, "state {name}: {:?}", inst.component.snapshot());
         }
         out

@@ -185,8 +185,9 @@ pub(super) struct NegotiateState {
     pub(super) negotiator: Option<Negotiator>,
     /// Outstanding grants by agent.
     pub(super) grants: BTreeMap<String, Grant>,
-    /// Actuation state by agent.
-    pub(super) actuation: BTreeMap<String, AgentActuation>,
+    /// Actuation state by agent, looked up by interned id on every
+    /// delivery.
+    pub(super) actuation: NameTable<AgentActuation>,
     /// Per-agent request shaping.
     pub(super) profiles: BTreeMap<String, AgentProfile>,
     /// Migration plans this control plane submitted, by plan id.
@@ -265,15 +266,11 @@ impl Runtime {
     /// The admission gate and downgrade lookup the dispatch path runs for
     /// every delivery. Returns `(cost_scale, admit)`; neutral when the
     /// control plane is off or the agent has no actuation state.
-    pub(super) fn negotiate_admit(&mut self, instance: &str) -> (f64, bool) {
+    pub(super) fn negotiate_admit(&mut self, instance: NameId) -> (f64, bool) {
         if self.negotiate.config.is_none() {
             return (1.0, true);
         }
-        let act = self
-            .negotiate
-            .actuation
-            .entry(instance.to_owned())
-            .or_default();
+        let act = self.negotiate.actuation.at_or_default(instance);
         let seq = act.offered;
         act.offered += 1;
         let admit = act.keep_permille >= 1000 || seq % 1000 < u64::from(act.keep_permille);
@@ -282,11 +279,11 @@ impl Runtime {
 
     /// The retry-budget cap for deliveries to `instance`, if one was
     /// granted below the connector policy's own limit.
-    pub(super) fn negotiate_retry_cap(&self, instance: &str) -> Option<u32> {
+    pub(super) fn negotiate_retry_cap(&self, instance: NameId) -> Option<u32> {
         self.negotiate
             .config
             .as_ref()
-            .and_then(|_| self.negotiate.actuation.get(instance))
+            .and_then(|_| self.negotiate.actuation.at(instance))
             .and_then(|a| a.retry_cap)
     }
 
@@ -327,7 +324,10 @@ impl Runtime {
         let dt = config.interval.as_secs_f64().max(1e-9);
         let mut offered_total = 0u64;
         for c in &snap.components {
-            let act = self.negotiate.actuation.entry(c.name.clone()).or_default();
+            let act = self
+                .negotiate
+                .actuation
+                .entry_or_default(&mut self.names, &c.name);
             let arrivals = act.offered.saturating_sub(act.offered_last);
             offered_total += arrivals;
             model.agents.insert(
@@ -468,7 +468,10 @@ impl Runtime {
                 .audit
                 .budget_denied(&epoch, agent, reason.label(), now.as_micros());
             self.negotiate.grants.remove(agent);
-            let act = self.negotiate.actuation.entry(agent.clone()).or_default();
+            let act = self
+                .negotiate
+                .actuation
+                .entry_or_default(&mut self.names, agent);
             act.keep_permille = 0;
             act.cost_scale = config.min_cost_scale;
             act.retry_cap = Some(0);
@@ -506,8 +509,7 @@ impl Runtime {
             let act = self
                 .negotiate
                 .actuation
-                .entry(grant.agent.clone())
-                .or_default();
+                .entry_or_default(&mut self.names, &grant.agent);
             if grant.demand.work_rate > 0.0 {
                 act.keep_permille = (rate_frac * 1000.0).floor() as u32;
                 act.cost_scale = if grant.fraction < config.downgrade_below {
@@ -552,7 +554,7 @@ impl Runtime {
                     let cooled = self
                         .negotiate
                         .actuation
-                        .get(&grant.agent)
+                        .get(&self.names, &grant.agent)
                         .and_then(|a| a.migrated_round)
                         .is_none_or(|r| self.negotiate.rounds >= r + MIGRATE_COOLDOWN_ROUNDS);
                     if overloaded && !already_moving && cooled {
@@ -575,7 +577,7 @@ impl Runtime {
         self.negotiate.last_outcome = Some(outcome);
 
         for (agent, to) in migrations {
-            if let Some(act) = self.negotiate.actuation.get_mut(&agent) {
+            if let Some(act) = self.negotiate.actuation.get_mut(&self.names, &agent) {
                 act.migrated_round = Some(self.negotiate.rounds);
             }
             let plan = ReconfigPlan::single(ReconfigAction::Migrate {
@@ -613,7 +615,10 @@ impl Runtime {
                 continue;
             }
             let backlog = model.nodes.get(&obs.node).map_or(0.0, |n| n.backlog_ms);
-            let act = self.negotiate.actuation.entry(name.clone()).or_default();
+            let act = self
+                .negotiate
+                .actuation
+                .entry_or_default(&mut self.names, name);
             let keep = i64::from(act.keep_permille);
             let next = if backlog > 4.0 * config.interval.as_secs_f64() * 1e3 {
                 keep - 100
@@ -668,7 +673,7 @@ impl Runtime {
         reset_actuation: bool,
     ) {
         let epoch = self.negotiate.grants.remove(agent).map_or(0, |g| g.epoch);
-        if let Some(act) = self.negotiate.actuation.get_mut(agent) {
+        if let Some(act) = self.negotiate.actuation.get_mut(&self.names, agent) {
             if reset_actuation {
                 act.cost_scale = 1.0;
                 act.keep_permille = 1000;
@@ -706,19 +711,19 @@ impl Runtime {
             return;
         }
         let mut affected: BTreeSet<String> = BTreeSet::new();
-        for (agent, act) in &self.negotiate.actuation {
+        for (agent, act) in self.negotiate.actuation.iter(&self.names) {
             if act.granted_node == Some(node.0) {
-                affected.insert(agent.clone());
+                affected.insert(agent.to_string());
             }
         }
         for agent in self.negotiate.grants.keys() {
-            if self.instances.get(agent).map(|i| i.node.0) == Some(node.0) {
+            if self.instances.get(&self.names, agent).map(|i| i.node.0) == Some(node.0) {
                 affected.insert(agent.clone());
             }
         }
         for agent in moved {
             if self.negotiate.grants.contains_key(agent)
-                || self.negotiate.actuation.contains_key(agent)
+                || self.negotiate.actuation.contains_key(&self.names, agent)
             {
                 affected.insert(agent.clone());
             }

@@ -15,13 +15,9 @@ impl Runtime {
         for spec in config.connectors() {
             self.add_connector(spec.clone())?;
         }
-        for name in config
-            .component_names()
-            .map(str::to_owned)
-            .collect::<Vec<_>>()
-        {
-            let decl = config.component_decl(&name).expect("declared").clone();
-            self.add_component(&name, &decl)?;
+        for name in config.component_names() {
+            let decl = config.component_decl(name).expect("declared");
+            self.add_component(name, decl)?;
         }
         for b in config.bindings() {
             self.add_binding(b.clone())?;
@@ -35,7 +31,7 @@ impl Runtime {
     ///
     /// Fails on duplicate names, unknown implementations or bad nodes.
     pub fn add_component(&mut self, name: &str, decl: &ComponentDecl) -> Result<(), RuntimeError> {
-        if self.instances.contains_key(name) {
+        if self.instances.contains_key(&self.names, name) {
             return Err(RuntimeError::DuplicateComponent(name.to_owned()));
         }
         if (decl.node.0 as usize) >= self.kernel.topology().node_count() {
@@ -46,8 +42,10 @@ impl Runtime {
             .instantiate(&decl.type_name, decl.version, &decl.props)?;
         let id = ComponentId(self.next_component_id);
         self.next_component_id += 1;
+        let external = self.kernel.open_channel(decl.node, decl.node);
         self.instances.insert(
-            name.to_owned(),
+            &mut self.names,
+            name,
             Instance {
                 id,
                 node: decl.node,
@@ -66,10 +64,9 @@ impl Runtime {
                 tracker: SequenceTracker::new(),
                 custom: BTreeMap::new(),
                 blocked_at: None,
+                external,
             },
         );
-        let ch = self.kernel.open_channel(decl.node, decl.node);
-        self.external_channels.insert(name.to_owned(), ch);
         Ok(())
     }
 
@@ -79,7 +76,7 @@ impl Runtime {
     ///
     /// Fails if a connector with this name already exists.
     pub fn add_connector(&mut self, spec: ConnectorSpec) -> Result<(), RuntimeError> {
-        if self.connectors.contains_key(&spec.name) {
+        if self.connectors.contains_key(&self.names, &spec.name) {
             return Err(RuntimeError::InvalidConfiguration(format!(
                 "connector `{}` already exists",
                 spec.name
@@ -87,8 +84,8 @@ impl Runtime {
         }
         let id = ConnectorId(self.next_connector_id);
         self.next_connector_id += 1;
-        self.connectors
-            .insert(spec.name.clone(), Connector::new(id, spec));
+        let name = self.names.intern(&spec.name);
+        self.connectors.insert_at(name, Connector::new(id, spec));
         Ok(())
     }
 
@@ -101,12 +98,12 @@ impl Runtime {
     pub fn add_binding(&mut self, decl: BindingDecl) -> Result<(), RuntimeError> {
         let src = self
             .instances
-            .get(&decl.from.0)
+            .get(&self.names, &decl.from.0)
             .ok_or_else(|| RuntimeError::UnknownComponent(decl.from.0.clone()))?;
-        if !self.connectors.contains_key(&decl.via) {
+        if !self.connectors.contains_key(&self.names, &decl.via) {
             return Err(RuntimeError::UnknownConnector(decl.via.clone()));
         }
-        if self.bindings.contains_key(&decl.from) {
+        if self.bindings.contains_key(&self.names, &decl.from) {
             return Err(RuntimeError::InvalidConfiguration(format!(
                 "port `{}.{}` already bound",
                 decl.from.0, decl.from.1
@@ -118,13 +115,14 @@ impl Runtime {
         // synchronous product must be deadlock-free.
         let conn_protocol = self
             .connectors
-            .get(&decl.via)
+            .get(&self.names, &decl.via)
             .and_then(|c| c.spec().protocol.clone());
         let mut channels = Vec::with_capacity(decl.to.len());
+        let mut targets = Vec::with_capacity(decl.to.len());
         for (inst, _) in &decl.to {
             let dst = self
                 .instances
-                .get(inst)
+                .get(&self.names, inst)
                 .ok_or_else(|| RuntimeError::UnknownComponent(inst.clone()))?;
             if let (Some(conn_proto), Some(comp_proto)) =
                 (conn_protocol.as_ref(), dst.component.protocol())
@@ -139,9 +137,17 @@ impl Runtime {
                 }
             }
             channels.push(self.kernel.open_channel(src_node, dst.node));
+            targets.push(self.names.intern(inst));
         }
-        self.bindings
-            .insert(decl.from.clone(), BindingRt { decl, channels });
+        let from = self.names.intern(&decl.from.0);
+        let via = self.names.intern(&decl.via);
+        self.bindings.insert(BindingRt {
+            decl,
+            channels,
+            from,
+            via,
+            targets,
+        });
         Ok(())
     }
 
@@ -152,7 +158,7 @@ impl Runtime {
     ///
     /// Fails if no such binding exists.
     pub fn remove_binding(&mut self, from: &(String, String)) -> Result<(), RuntimeError> {
-        let b = self.bindings.remove(from).ok_or_else(|| {
+        let b = self.bindings.remove(&self.names, from).ok_or_else(|| {
             RuntimeError::InvalidConfiguration(format!("no binding at `{}.{}`", from.0, from.1))
         })?;
         for ch in b.channels {
@@ -169,13 +175,13 @@ impl Runtime {
     ///
     /// Fails if the connector does not exist.
     pub fn adapt_connector(&mut self, name: &str, spec: ConnectorSpec) -> Result<(), RuntimeError> {
-        if !self.connectors.contains_key(name) {
+        if !self.connectors.contains_key(&self.names, name) {
             return Err(RuntimeError::UnknownConnector(name.to_owned()));
         }
         let id = ConnectorId(self.next_connector_id);
         self.next_connector_id += 1;
         self.connectors
-            .insert(name.to_owned(), Connector::new(id, spec));
+            .insert(&mut self.names, name, Connector::new(id, spec));
         Ok(())
     }
 
@@ -200,7 +206,7 @@ impl Runtime {
     ) -> Result<bool, RuntimeError> {
         let conn = self
             .connectors
-            .get(name)
+            .get(&self.names, name)
             .ok_or_else(|| RuntimeError::UnknownConnector(name.to_owned()))?;
         if conn.at_quiescent_point() {
             self.adapt_connector(name, spec)?;

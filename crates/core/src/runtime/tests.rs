@@ -129,6 +129,7 @@ fn registry() -> ImplementationRegistry {
     r.register("Counter", 9, |_| Box::new(CounterBroken));
     r.register("Forwarder", 1, |_| Box::new(Forwarder));
     r.register("Echo", 1, |_| Box::new(EchoComponent::default()));
+    r.register("SeqLog", 1, |_| Box::new(SeqLog::default()));
     r
 }
 
@@ -349,6 +350,96 @@ fn remove_component_requires_unbinding_first() {
     assert!(rt.reports().last().unwrap().success);
     assert_eq!(rt.lifecycle("counter"), None);
     assert_eq!(rt.instance_names().count(), 1);
+}
+
+/// Logs the sequence number of every `tick`; answers `seqs` with the log.
+#[derive(Debug, Default)]
+struct SeqLog {
+    seqs: Vec<Value>,
+}
+
+impl Component for SeqLog {
+    fn type_name(&self) -> &str {
+        "SeqLog"
+    }
+    fn provided(&self) -> Interface {
+        Interface::new(
+            "SeqLog",
+            vec![Signature::one_way("tick"), Signature::one_way("seqs")],
+        )
+    }
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+        match msg.op.as_str() {
+            "tick" => self.seqs.push(Value::Int(msg.seq as i64)),
+            _ => ctx.reply(Value::List(self.seqs.clone())),
+        }
+        Ok(())
+    }
+    fn snapshot(&self) -> StateSnapshot {
+        StateSnapshot::new("SeqLog", 1)
+    }
+    fn restore(&mut self, _: &StateSnapshot) -> Result<(), crate::error::StateError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn envelope_stays_small() {
+    // The kernel's event heap moves an envelope on every sift.
+    let size = std::mem::size_of::<Envelope>();
+    assert!(size < 240, "Envelope grew to {size} bytes");
+}
+
+#[test]
+fn interning_is_append_only_across_remove_and_re_add() {
+    let mut rt = runtime(2);
+    let mut cfg = Configuration::new();
+    cfg.component("coder", ComponentDecl::new("Forwarder", 1, NodeId(0)));
+    cfg.component("coder2", ComponentDecl::new("SeqLog", 1, NodeId(1)));
+    cfg.connector(ConnectorSpec::direct("c1").with_aspect(ConnectorAspect::SequenceCheck));
+    let bind = BindingDecl::new("coder", "out", "c1", "coder2", "in");
+    cfg.bind(bind.clone());
+    rt.deploy(&cfg).unwrap();
+    let ticks = |rt: &mut Runtime| {
+        for _ in 0..5 {
+            rt.inject("coder", Message::event("tick", Value::Null))
+                .unwrap();
+        }
+        rt.run_for(SimDuration::from_secs(1));
+    };
+    ticks(&mut rt);
+
+    // Remove `coder2` mid-stream, then re-add it under the same name,
+    // behind the same sequence-checking connector.
+    let mut remove = ReconfigPlan::new();
+    remove.push(ReconfigAction::Unbind {
+        from: ("coder".into(), "out".into()),
+    });
+    remove.push(ReconfigAction::RemoveComponent {
+        name: "coder2".into(),
+    });
+    rt.request_reconfig(remove);
+    rt.run_for(SimDuration::from_secs(1));
+    assert!(rt.lifecycle("coder2").is_none(), "coder2 is gone");
+    let mut re_add = ReconfigPlan::new();
+    re_add.push(ReconfigAction::AddComponent {
+        name: "coder2".into(),
+        decl: ComponentDecl::new("SeqLog", 1, NodeId(1)),
+    });
+    re_add.push(ReconfigAction::Bind(bind));
+    rt.request_reconfig(re_add);
+    rt.run_for(SimDuration::from_secs(1));
+    assert!(rt.reports().iter().all(|r| r.success), "both plans commit");
+    ticks(&mut rt);
+
+    // The name kept its id, so the `coder -> coder2` flow continues.
+    rt.inject("coder2", Message::request("seqs", Value::Null))
+        .unwrap();
+    rt.run_for(SimDuration::from_secs(1));
+    let seqs = rt.take_outbox().pop().expect("seqs reply").1.value;
+    let expected: Vec<Value> = (5..10).map(Value::Int).collect();
+    assert_eq!(seqs, Value::List(expected), "sequence numbers continue");
+    assert_eq!(rt.observe().connector("c1").unwrap().seq_anomalies, 0);
 }
 
 #[test]

@@ -126,8 +126,9 @@ impl Runtime {
         let mut kernel = self.kernel.fork();
         kernel.set_tracer(obs.tracer.clone());
         let m = MetricHandles::new(&obs);
-        let mut instances = BTreeMap::new();
-        for (name, inst) in &self.instances {
+        let mut names = self.names.clone();
+        let mut instances = NameTable::default();
+        for (name, inst) in self.instances.iter(&self.names) {
             let mut component = self
                 .registry
                 .instantiate(&inst.type_name, inst.version, &inst.props)
@@ -144,7 +145,8 @@ impl Runtime {
                 })
                 .collect();
             instances.insert(
-                name.clone(),
+                &mut names,
+                name,
                 Instance {
                     id: inst.id,
                     node: inst.node,
@@ -160,20 +162,21 @@ impl Runtime {
                     tracker: inst.tracker.clone(),
                     custom,
                     blocked_at: inst.blocked_at,
+                    external: inst.external,
                 },
             );
         }
         Some(Runtime {
             kernel,
             registry: self.registry.clone(),
+            names,
             instances,
             connectors: self.connectors.clone(),
             bindings: self.bindings.clone(),
-            external_channels: self.external_channels.clone(),
             reply_channels: self.reply_channels.clone(),
             timers: self.timers.clone(),
             flow_seq: self.flow_seq.clone(),
-            seq_key_buf: String::new(),
+            call: CallCtx::default(),
             pending_requests: self.pending_requests.clone(),
             next_msg_id: self.next_msg_id,
             next_component_id: self.next_component_id,
@@ -291,7 +294,7 @@ impl Runtime {
         let total = fork.instances.len().max(1);
         let active = fork
             .instances
-            .values()
+            .values(&fork.names)
             .filter(|i| i.lifecycle == Lifecycle::Active)
             .count();
         let availability = active as f64 / total as f64;

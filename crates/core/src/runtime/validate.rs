@@ -42,10 +42,10 @@ impl Runtime {
     pub(super) fn validate_plan(&self, plan: &ReconfigPlan) -> Result<(), String> {
         let mut comps: BTreeMap<String, ShadowComp> = self
             .instances
-            .iter()
+            .iter(&self.names)
             .map(|(name, inst)| {
                 (
-                    name.clone(),
+                    name.to_string(),
                     ShadowComp {
                         node: inst.node,
                         impl_src: ShadowImpl::Live,
@@ -55,16 +55,16 @@ impl Runtime {
             .collect();
         let mut connectors: BTreeMap<String, ConnectorSpec> = self
             .connectors
-            .iter()
-            .map(|(name, c)| (name.clone(), c.spec().clone()))
+            .iter(&self.names)
+            .map(|(name, c)| (name.to_string(), c.spec().clone()))
             .collect();
         // Shadow binding: source port -> (connector, target instances).
         let mut bindings: BTreeMap<(String, String), (String, Vec<String>)> = self
             .bindings
-            .iter()
-            .map(|(from, b)| {
+            .values(&self.names)
+            .map(|b| {
                 (
-                    from.clone(),
+                    b.decl.from.clone(),
                     (
                         b.decl.via.clone(),
                         b.decl.to.iter().map(|(i, _)| i.clone()).collect(),
@@ -143,7 +143,7 @@ impl Runtime {
                 // least what the current implementation provides.
                 if let Some(old_iface) = self.shadow_provided(name, shadow) {
                     let props = match &shadow.impl_src {
-                        ShadowImpl::Live => &self.instances[name].props,
+                        ShadowImpl::Live => &self.live(name).props,
                         ShadowImpl::Decl { props, .. } => props,
                     };
                     if let Ok(replacement) = self.registry.instantiate(type_name, *version, props) {
@@ -163,7 +163,7 @@ impl Runtime {
                 }
                 if let Some(sc) = comps.get_mut(name) {
                     let props = match &sc.impl_src {
-                        ShadowImpl::Live => self.instances[name].props.clone(),
+                        ShadowImpl::Live => self.live(name).props.clone(),
                         ShadowImpl::Decl { props, .. } => props.clone(),
                     };
                     sc.impl_src = ShadowImpl::Decl {
@@ -272,12 +272,23 @@ impl Runtime {
         }
     }
 
+    /// The live instance behind a shadow component the plan has not
+    /// touched yet.
+    fn live(&self, name: &str) -> &Instance {
+        self.instances
+            .get(&self.names, name)
+            .expect("untouched shadow components are live")
+    }
+
     /// The provided interface of a shadow component: read from the live
     /// instance when untouched, otherwise instantiated from the registry
     /// declaration an earlier plan action introduced.
     fn shadow_provided(&self, name: &str, shadow: &ShadowComp) -> Option<Interface> {
         match &shadow.impl_src {
-            ShadowImpl::Live => self.instances.get(name).map(|i| i.component.provided()),
+            ShadowImpl::Live => self
+                .instances
+                .get(&self.names, name)
+                .map(|i| i.component.provided()),
             ShadowImpl::Decl {
                 type_name,
                 version,
@@ -296,7 +307,7 @@ impl Runtime {
         match &shadow.impl_src {
             ShadowImpl::Live => self
                 .instances
-                .get(name)
+                .get(&self.names, name)
                 .and_then(|i| i.component.protocol()),
             ShadowImpl::Decl {
                 type_name,

@@ -428,6 +428,26 @@ impl<M> Kernel<M> {
     /// FIFO order per channel is enforced even when later routes would be
     /// faster.
     pub fn send(&mut self, ch: ChannelId, msg: M, size: u64) -> SendOutcome {
+        match self.try_send(ch, msg, size) {
+            Ok(transit) => SendOutcome::Sent(transit),
+            Err((reason, _)) => SendOutcome::Dropped(reason),
+        }
+    }
+
+    /// Like [`Kernel::send`], but an immediately dropped message is handed
+    /// back with the reason, so a caller that may retry it needs no copy
+    /// made before the attempt.
+    ///
+    /// # Errors
+    ///
+    /// Returns the drop reason and `msg` when the channel is closed or its
+    /// destination unreachable; the drop is counted as by `send`.
+    pub fn try_send(
+        &mut self,
+        ch: ChannelId,
+        msg: M,
+        size: u64,
+    ) -> Result<SimDuration, (DropReason, M)> {
         let (src, dst, open) = {
             let c = self.channel(ch);
             (c.src, c.dst, c.open)
@@ -435,12 +455,12 @@ impl<M> Kernel<M> {
         if !open {
             self.channel_mut(ch).stats.dropped += 1;
             self.bump(KernelCounter::Dropped);
-            return SendOutcome::Dropped(DropReason::ChannelClosed);
+            return Err((DropReason::ChannelClosed, msg));
         }
         let Some(route) = self.route(src, dst, size) else {
             self.channel_mut(ch).stats.dropped += 1;
             self.bump(KernelCounter::Dropped);
-            return SendOutcome::Dropped(DropReason::Unreachable);
+            return Err((DropReason::Unreachable, msg));
         };
         self.topology.account_route(&route, size);
         let arrival = (self.now + route.transit).max(self.channel(ch).fifo_tail);
@@ -467,7 +487,7 @@ impl<M> Kernel<M> {
                 sent_at,
             },
         );
-        SendOutcome::Sent(arrival.saturating_since(self.now))
+        Ok(arrival.saturating_since(self.now))
     }
 
     fn channel(&self, ch: ChannelId) -> &Channel<M> {

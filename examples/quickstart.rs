@@ -45,7 +45,7 @@ macro_rules! impl_greeter {
                 msg: &Message,
             ) -> Result<(), ComponentError> {
                 if msg.op != "greet" {
-                    return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+                    return Err(ComponentError::UnsupportedOperation(msg.op.to_string()));
                 }
                 self.served += 1;
                 let name = msg.value.as_str().unwrap_or("world");

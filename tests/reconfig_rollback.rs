@@ -66,7 +66,7 @@ impl Component for Fragile {
 
     fn on_message(&mut self, _ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
         if msg.op != "tick" {
-            return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+            return Err(ComponentError::UnsupportedOperation(msg.op.to_string()));
         }
         self.ticks += 1;
         Ok(())
