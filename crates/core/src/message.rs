@@ -191,14 +191,16 @@ pub enum Value {
     Bytes(Vec<u8>),
     /// An ordered list.
     List(Vec<Value>),
-    /// A map keyed by shared names: copying it copies no key strings.
-    Map(BTreeMap<Name, Value>),
+    /// A copy-on-write map keyed by shared names: copying it copies
+    /// neither keys nor values.
+    Map(ValueMap),
 }
 
 impl Value {
-    /// Builds a map value from `(key, value)` pairs.
+    /// Builds a map value from `(key, value)` pairs. Keys end up sorted;
+    /// of duplicate keys the last one wins.
     pub fn map<K: Into<Name>>(pairs: impl IntoIterator<Item = (K, Value)>) -> Value {
-        Value::Map(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        Value::Map(pairs.into_iter().collect())
     }
 
     /// Map lookup; `None` for non-maps or missing keys.
@@ -210,16 +212,11 @@ impl Value {
         }
     }
 
-    /// Sets a key on a map value; does nothing on non-maps. Overwriting
-    /// an existing key allocates nothing.
+    /// Sets a key on a map value; does nothing on non-maps. See
+    /// [`ValueMap::set`] for what it costs.
     pub fn set<K: Borrow<str> + Into<Name>>(&mut self, key: K, value: Value) {
         if let Value::Map(m) = self {
-            match m.get_mut(key.borrow()) {
-                Some(slot) => *slot = value,
-                None => {
-                    m.insert(key.into(), value);
-                }
-            }
+            m.set(key, value);
         }
     }
 
@@ -349,6 +346,164 @@ impl fmt::Display for Value {
     }
 }
 
+/// The entries of a [`Value::Map`]: key-sorted `(key, value)` pairs in a
+/// single shared allocation.
+///
+/// Copy-on-write: cloning bumps a reference count, so a connector that
+/// fans a message out to several targets, or a component that forwards
+/// what it received, copies no entries. [`ValueMap::set`] writes in place
+/// while the map is uniquely owned and copies the entries, in one
+/// allocation, only when it is shared.
+///
+/// It iterates in key order, compares and prints exactly like the
+/// `BTreeMap<Name, Value>` it replaces.
+///
+/// # Examples
+///
+/// ```
+/// use aas_core::message::{Value, ValueMap};
+///
+/// let original: ValueMap = [("bytes", Value::Int(400)), ("cost", Value::Float(1.5))]
+///     .into_iter()
+///     .collect();
+/// let mut copy = original.clone();
+/// copy.set("bytes", Value::Int(200));
+/// assert_eq!(original.get("bytes"), Some(&Value::Int(400)));
+/// assert_eq!(copy.get("bytes"), Some(&Value::Int(200)));
+/// assert_eq!(format!("{copy:?}"), r#"{"bytes": Int(200), "cost": Float(1.5)}"#);
+/// ```
+#[derive(Clone, PartialEq)]
+pub struct ValueMap(Arc<[(Name, Value)]>);
+
+impl ValueMap {
+    /// Number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if the map has no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    /// The value under `key`.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.position(key).ok().map(|i| &self.0[i].1)
+    }
+
+    /// The entries in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Name, &Value)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+
+    /// The keys in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Name> {
+        self.0.iter().map(|(k, _)| k)
+    }
+
+    /// Sets `key` to `value`.
+    ///
+    /// Setting a key to the value it already holds does nothing. An
+    /// existing key of a uniquely owned map is overwritten in place. Any
+    /// other write (a new key, or a map shared with a copy) builds the new
+    /// entries in one allocation; a shared map's other values are cloned
+    /// into it, which allocates nothing for scalars and maps.
+    pub fn set<K: Borrow<str> + Into<Name>>(&mut self, key: K, value: Value) {
+        match self.position(key.borrow()) {
+            Ok(i) => {
+                if self.0[i].1 == value {
+                    return;
+                }
+                match Arc::get_mut(&mut self.0) {
+                    Some(entries) => entries[i].1 = value,
+                    None => {
+                        let key = self.0[i].0.clone();
+                        self.splice(i, true, (key, value));
+                    }
+                }
+            }
+            Err(i) => self.splice(i, false, (key.into(), value)),
+        }
+    }
+
+    /// Rebuilds the entries in one allocation with `entry` at index `at`,
+    /// replacing the entry there or inserting before it. The other entries
+    /// are moved when the map is uniquely owned and cloned otherwise.
+    fn splice(&mut self, at: usize, replace: bool, entry: (Name, Value)) {
+        let shift = usize::from(!replace);
+        let len = self.0.len() + shift;
+        let source = |j: usize| if j < at { j } else { j - shift };
+        let mut entry = Some(entry);
+        let fresh: Arc<[(Name, Value)]> = match Arc::get_mut(&mut self.0) {
+            Some(old) => (0..len)
+                .map(|j| {
+                    if j == at {
+                        entry.take().expect("spliced once")
+                    } else {
+                        core::mem::take(&mut old[source(j)])
+                    }
+                })
+                .collect(),
+            None => (0..len)
+                .map(|j| {
+                    if j == at {
+                        entry.take().expect("spliced once")
+                    } else {
+                        self.0[source(j)].clone()
+                    }
+                })
+                .collect(),
+        };
+        self.0 = fresh;
+    }
+}
+
+impl<K: Into<Name>> FromIterator<(K, Value)> for ValueMap {
+    /// Collects pairs into a map, sorting by key; of duplicate keys the
+    /// last one wins. An exact-size source of distinct keys (an array, a
+    /// `Vec`) costs one allocation.
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(pairs: I) -> ValueMap {
+        let mut entries: Arc<[(Name, Value)]> =
+            pairs.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        let slice = Arc::get_mut(&mut entries).expect("freshly collected");
+        // Stable, so equal keys keep their arrival order and the last
+        // wins. Input already in order skips the sort and its scratch
+        // buffer.
+        if !slice.is_sorted_by(|a, b| a.0 <= b.0) {
+            slice.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        let unique = 1 + slice.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        if unique >= slice.len() {
+            return ValueMap(entries);
+        }
+        // Keep the last entry of every run of equal keys.
+        let mut next = 0;
+        let deduped = (0..unique)
+            .map(|_| {
+                while next + 1 < slice.len() && slice[next].0 == slice[next + 1].0 {
+                    next += 1;
+                }
+                next += 1;
+                core::mem::take(&mut slice[next - 1])
+            })
+            .collect();
+        ValueMap(deduped)
+    }
+}
+
+impl fmt::Debug for ValueMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Unique identifier of a message within a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub u64);
@@ -427,10 +582,16 @@ impl Message {
     /// Builds a reply to `request` with the given payload.
     #[must_use]
     pub fn reply_to(request: &Message, value: Value) -> Message {
+        Message::reply_named(request, format!("{}.reply", request.op).into(), value)
+    }
+
+    /// A reply to `request` whose op, `"<request op>.reply"`, the caller
+    /// has already built (the runtime caches one per request op).
+    pub(crate) fn reply_named(request: &Message, op: Name, value: Value) -> Message {
         Message {
             id: MessageId(0),
             kind: MessageKind::Reply,
-            op: format!("{}.reply", request.op).into(),
+            op,
             value,
             correlation: Some(request.id),
             seq: 0,
@@ -587,6 +748,67 @@ mod tests {
         let mut n = Value::Null;
         n.set("x", Value::from(1));
         assert_eq!(n, Value::Null);
+    }
+
+    #[test]
+    fn map_duplicate_keys_last_wins() {
+        let v = Value::map([
+            ("b", Value::from(1)),
+            ("a", Value::from(2)),
+            ("b", Value::from(3)),
+            ("c", Value::from(4)),
+            ("a", Value::from(5)),
+        ]);
+        assert_eq!(
+            v,
+            Value::map([
+                ("a", Value::from(5)),
+                ("b", Value::from(3)),
+                ("c", Value::from(4)),
+            ])
+        );
+        let Value::Map(m) = &v else {
+            panic!("a map");
+        };
+        assert_eq!(
+            m.keys().map(Name::as_str).collect::<Vec<_>>(),
+            ["a", "b", "c"]
+        );
+    }
+
+    #[test]
+    fn map_debug_prints_like_a_btreemap() {
+        let v = Value::map([
+            ("quality", Value::Float(1.0)),
+            ("bytes", Value::Int(400)),
+            ("codec", Value::from("h264")),
+            ("nested", Value::map([("k", Value::Null)])),
+        ]);
+        assert_eq!(
+            format!("{v:?}"),
+            r#"Map({"bytes": Int(400), "codec": Str("h264"), "nested": Map({"k": Null}), "quality": Float(1.0)})"#
+        );
+        let golden: BTreeMap<Name, Value> = [
+            (Name::from("bytes"), Value::Int(400)),
+            (Name::from("quality"), Value::Float(1.0)),
+        ]
+        .into_iter()
+        .collect();
+        let v = Value::map([("quality", Value::Float(1.0)), ("bytes", Value::Int(400))]);
+        assert_eq!(format!("{v:?}"), format!("Map({golden:?})"));
+    }
+
+    #[test]
+    fn map_set_copies_only_shared_entries() {
+        let original = Value::map([("bytes", Value::Int(400)), ("cost", Value::Float(1.0))]);
+        let mut copy = original.clone();
+        copy.set("transcoded", Value::Bool(true));
+        copy.set("bytes", Value::Int(200));
+        assert_eq!(original.get("bytes"), Some(&Value::Int(400)));
+        assert_eq!(original.get("transcoded"), None);
+        assert_eq!(copy.get("bytes"), Some(&Value::Int(200)));
+        assert_eq!(copy.get("transcoded"), Some(&Value::Bool(true)));
+        assert_eq!(copy.to_string(), "{bytes: 200, cost: 1, transcoded: true}");
     }
 
     #[test]

@@ -26,6 +26,7 @@ impl Runtime {
         self.detector = Some(DetectorRt {
             detector,
             hb_channels,
+            gauges: None,
         });
         let tag = self.kernel.set_timer(interval);
         self.timers.insert(tag, TimerPurpose::DetectorTick);
@@ -60,20 +61,20 @@ impl Runtime {
             let _ = self.kernel.send(*ch, env, 16);
         }
         let events = drt.detector.evaluate(now);
+        let detector = &drt.detector;
+        let gauges = drt
+            .gauges
+            .get_or_insert_with(|| DetectorGauges::resolve(&self.obs, detector));
         let mut max_phi: f64 = 0.0;
-        for node in drt.detector.watched() {
-            let phi = drt.detector.phi(node, now);
+        let mut suspected = 0_u32;
+        for (node, gauge) in &gauges.phi {
+            let phi = detector.phi(*node, now);
             max_phi = max_phi.max(phi);
-            self.obs
-                .metrics
-                .gauge(&format!("detector.phi.{node}"))
-                .set(phi);
+            gauge.set(phi);
+            suspected += u32::from(detector.is_suspected(*node));
         }
         self.m.phi.observe(max_phi);
-        self.obs
-            .metrics
-            .gauge("detector.suspected")
-            .set(drt.detector.suspected().len() as f64);
+        gauges.suspected.set(f64::from(suspected));
         let interval = drt.detector.config().interval;
         self.detector = Some(drt);
         if events.is_empty() {

@@ -63,20 +63,17 @@ impl Runtime {
             self.kernel.rebind_channel(inst.external, node, node);
         }
         let reply_updates: Vec<(ChannelId, NodeId, NodeId)> = self
-            .reply_channels
-            .iter()
+            .reply_channels_touching(name)
+            .into_iter()
             .filter_map(|((from, to), ch)| {
-                let from_node = if from == name {
-                    node
-                } else {
-                    self.instances.get(&self.names, from)?.node
+                let node_of = |end: NameId| {
+                    if self.names.name(end) == name {
+                        Some(node)
+                    } else {
+                        self.instances.at(end).map(|i| i.node)
+                    }
                 };
-                let to_node = if to == name {
-                    node
-                } else {
-                    self.instances.get(&self.names, to)?.node
-                };
-                (from == name || to == name).then_some((*ch, from_node, to_node))
+                Some((ch, node_of(from)?, node_of(to)?))
             })
             .collect();
         for (ch, s, d) in reply_updates {
@@ -111,6 +108,24 @@ impl Runtime {
         for (ch, s, d) in binding_updates {
             self.kernel.rebind_channel(ch, s, d);
         }
+    }
+
+    /// The reply channels with instance `name` at either end, in
+    /// `(sender, receiver)` name order: the order the audit log and the
+    /// fingerprints have always seen them in.
+    pub(super) fn reply_channels_touching(&self, name: &str) -> Vec<((NameId, NameId), ChannelId)> {
+        let Some(id) = self.names.get(name) else {
+            return Vec::new();
+        };
+        let mut out: Vec<_> = self
+            .reply_channels
+            .iter()
+            .filter(|((from, to), _)| *from == id || *to == id)
+            .map(|(key, ch)| (*key, *ch))
+            .collect();
+        let names = |(from, to): (NameId, NameId)| (self.names.name(from), self.names.name(to));
+        out.sort_by(|(a, _), (b, _)| names(*a).cmp(&names(*b)));
+        out
     }
 
     pub(super) fn on_delivered(&mut self, env: Envelope, now: SimTime) {
@@ -352,20 +367,19 @@ impl Runtime {
         let Some(from_node) = self.instances.at(from).map(|i| i.node) else {
             return;
         };
-        let Some(to_node) = self.instances.get(&self.names, to).map(|i| i.node) else {
+        let Some(to) = self.instances.id_of(&self.names, to) else {
             self.m.dropped.incr();
             return;
         };
-        let key = (self.names.name(from).to_string(), to.to_owned());
-        let ch = match self.reply_channels.get(&key) {
+        let to_node = self.instances.at(to).expect("live instance").node;
+        let ch = match self.reply_channels.get(&(from, to)) {
             Some(ch) => *ch,
             None => {
                 let ch = self.kernel.open_channel(from_node, to_node);
-                self.reply_channels.insert(key, ch);
+                self.reply_channels.insert((from, to), ch);
                 ch
             }
         };
-        let to = self.names.intern(to);
         let env = self.finalize(from, to, reply, None);
         let size = env.msg.wire_size();
         if !self.kernel.send(ch, env, size).is_sent() {

@@ -68,7 +68,7 @@ enum Undo {
     ReinsertInstance {
         name: String,
         instance: Box<Instance>,
-        replies: Vec<((String, String), ChannelId)>,
+        replies: Vec<((NameId, NameId), ChannelId)>,
     },
     /// Re-insert a removed binding (its channels were never closed —
     /// closure is deferred to commit).
@@ -406,9 +406,9 @@ impl Runtime {
         if let Some(inst) = self.instances.get(&self.names, name) {
             out.push(inst.external);
         }
-        for ((_, to), ch) in &self.reply_channels {
-            if to == name {
-                out.push(*ch);
+        for ((_, to), ch) in self.reply_channels_touching(name) {
+            if self.names.name(to) == name {
+                out.push(ch);
             }
         }
         for b in self.bindings.values(&self.names) {
@@ -549,16 +549,9 @@ impl Runtime {
                 if let Some(ch) = self.instances.get(&self.names, &name).map(|i| i.external) {
                     self.close_now(ch, txn, plan);
                 }
-                let reply_keys: Vec<(String, String)> = self
-                    .reply_channels
-                    .keys()
-                    .filter(|(a, b)| *a == name || *b == name)
-                    .cloned()
-                    .collect();
-                for key in reply_keys {
-                    if let Some(ch) = self.reply_channels.remove(&key) {
-                        self.close_now(ch, txn, plan);
-                    }
+                for (key, ch) in self.reply_channels_touching(&name) {
+                    self.reply_channels.remove(&key);
+                    self.close_now(ch, txn, plan);
                 }
                 self.instances.remove(&self.names, &name);
                 txn.blocked.remove(&name);
@@ -758,17 +751,9 @@ impl Runtime {
                     .instances
                     .remove(&self.names, name)
                     .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
-                let reply_keys: Vec<(String, String)> = self
-                    .reply_channels
-                    .keys()
-                    .filter(|(a, b)| a == name || b == name)
-                    .cloned()
-                    .collect();
-                let mut replies = Vec::with_capacity(reply_keys.len());
-                for key in reply_keys {
-                    if let Some(ch) = self.reply_channels.remove(&key) {
-                        replies.push((key, ch));
-                    }
+                let replies = self.reply_channels_touching(name);
+                for (key, _) in &replies {
+                    self.reply_channels.remove(key);
                 }
                 // Closure is deferred to commit: rollback re-inserts the
                 // same live channels with their held messages intact.

@@ -254,6 +254,9 @@ impl Runtime {
     /// into nothing). Cancel them here, count every one, and leave an
     /// audit entry per affected instance.
     pub(super) fn cancel_jobs_on(&mut self, node: NodeId, now: SimTime) {
+        // The timer map iterates in hash order; that order stays hidden
+        // because the doomed jobs are only summed into `lost`, which is
+        // keyed and iterated by instance name.
         let doomed: Vec<u64> = self
             .timers
             .iter()

@@ -27,7 +27,7 @@ impl Runtime {
             .instances
             .iter(&self.names)
             .map(|(name, inst)| {
-                let latency = inst.latency.snapshot();
+                let (mean_latency_ms, p99_latency_ms) = inst.latency.mean_and_quantile(0.99);
                 ComponentObservation {
                     name: name.to_string(),
                     type_name: inst.type_name.clone(),
@@ -37,13 +37,13 @@ impl Runtime {
                     inflight: inst.inflight,
                     processed: inst.processed,
                     errors: inst.errors,
-                    mean_latency_ms: latency.mean(),
-                    p99_latency_ms: latency.quantile(0.99),
+                    mean_latency_ms,
+                    p99_latency_ms,
                     seq_anomalies: inst.tracker.gaps() + inst.tracker.duplicates(),
                     custom: inst
                         .custom
                         .iter()
-                        .map(|(k, s)| (k.to_string(), s.snapshot().mean()))
+                        .map(|(k, s)| (k.to_string(), s.mean_and_quantile(0.0).0))
                         .collect(),
                 }
             })
@@ -104,7 +104,8 @@ impl Runtime {
                 Effect::Reply { value } => {
                     if let Some(cur) = current {
                         if cur.kind == MessageKind::Request {
-                            let reply = Message::reply_to(cur, value);
+                            let op = self.reply_op(&cur.op);
+                            let reply = Message::reply_named(cur, op, value);
                             self.route_reply(from, &cur.from, reply, now);
                         }
                     }
@@ -135,6 +136,17 @@ impl Runtime {
                 }
             }
         }
+    }
+
+    /// The op of a reply to a request for `op`, `"<op>.reply"`, built
+    /// once per op.
+    fn reply_op(&mut self, op: &Name) -> Name {
+        if let Some(reply) = self.reply_ops.get(op.as_str()) {
+            return reply.clone();
+        }
+        let reply = Name::from(format!("{op}.reply"));
+        self.reply_ops.insert(op.clone(), reply.clone());
+        reply
     }
 
     /// Event-triggered reconfiguration (the Durra path): faults are fed

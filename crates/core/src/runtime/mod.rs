@@ -70,15 +70,15 @@ use crate::raml::{
 };
 use crate::reconfig::{ReconfigAction, ReconfigId, ReconfigPlan, ReconfigReport, StateTransfer};
 use crate::registry::{ImplementationRegistry, Props};
-use aas_obs::{HistogramHandle, Obs, SpanId};
+use aas_obs::{Gauge, HistogramHandle, Obs, SpanId};
 use aas_sim::channel::ChannelId;
 use aas_sim::fault::FaultKind;
+use aas_sim::hash::IdHashMap;
 use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::collections::{BTreeMap, VecDeque};
 
 mod detect_driver;
 mod dispatch;
@@ -223,9 +223,14 @@ enum TimerPurpose {
 }
 
 /// Pending timers by kernel tag. A hash map keeps its capacity as timers
-/// come and go, so arming a timer on the message path allocates nothing;
-/// the unkeyed default hasher keeps its iteration order reproducible.
-type TimerMap = HashMap<u64, TimerPurpose, BuildHasherDefault<DefaultHasher>>;
+/// come and go, so arming a timer on the message path allocates nothing.
+/// Tags are sequential, which the multiplicative [`IdHasher`] spreads
+/// evenly at a fraction of SipHash's cost. Its iteration order is never
+/// observable: the one scan, `cancel_jobs_on`, only sums into a
+/// name-keyed map.
+///
+/// [`IdHasher`]: aas_sim::hash::IdHasher
+type TimerMap = IdHashMap<u64, TimerPurpose>;
 
 /// The failure detector plus its heartbeat transport: one kernel channel
 /// per watched node, converging on the monitor node.
@@ -233,6 +238,35 @@ type TimerMap = HashMap<u64, TimerPurpose, BuildHasherDefault<DefaultHasher>>;
 struct DetectorRt {
     detector: FailureDetector,
     hb_channels: BTreeMap<NodeId, ChannelId>,
+    /// The gauges each tick writes, resolved on the first tick against
+    /// this runtime's own [`Obs`]; a twin forks without them.
+    gauges: Option<DetectorGauges>,
+}
+
+/// Handles to the failure detector's gauges, so a tick writes them
+/// without formatting a name or locking the registry.
+#[derive(Debug, Clone)]
+struct DetectorGauges {
+    /// `detector.phi.<node>` for every watched node, ascending by id.
+    phi: Vec<(NodeId, Gauge)>,
+    /// `detector.suspected`.
+    suspected: Gauge,
+}
+
+impl DetectorGauges {
+    /// Registers (or finds) the gauges in `obs`, in the order the ticks
+    /// have always registered them.
+    fn resolve(obs: &Obs, detector: &FailureDetector) -> DetectorGauges {
+        let phi = detector
+            .watched()
+            .into_iter()
+            .map(|node| (node, obs.metrics.gauge(&format!("detector.phi.{node}"))))
+            .collect();
+        DetectorGauges {
+            phi,
+            suspected: obs.metrics.gauge("detector.suspected"),
+        }
+    }
 }
 /// The component runtime.
 ///
@@ -277,7 +311,10 @@ pub struct Runtime {
     instances: NameTable<Instance>,
     connectors: NameTable<Connector>,
     bindings: Bindings,
-    reply_channels: BTreeMap<(String, String), ChannelId>,
+    /// Reply channels by `(replier, requester)` ids.
+    reply_channels: BTreeMap<(NameId, NameId), ChannelId>,
+    /// `"<op>.reply"` per request op, so a routed reply formats no name.
+    reply_ops: BTreeMap<Name, Name>,
     timers: TimerMap,
     /// Per-flow send sequence numbers, keyed by `(from, to)` ids.
     flow_seq: BTreeMap<(NameId, NameId), u64>,
@@ -337,6 +374,7 @@ impl Runtime {
             connectors: NameTable::default(),
             bindings: Bindings::default(),
             reply_channels: BTreeMap::new(),
+            reply_ops: BTreeMap::new(),
             timers: TimerMap::default(),
             flow_seq: BTreeMap::new(),
             pending_requests: BTreeMap::new(),

@@ -985,6 +985,94 @@ fn structural_add_and_bind_at_runtime() {
     assert_eq!(rt.observe().component("counter").unwrap().processed, 1);
 }
 
+/// On `ask`, sends a `tick` request out of the port its payload names.
+#[derive(Debug, Default)]
+struct Asker;
+
+impl Component for Asker {
+    fn type_name(&self) -> &str {
+        "Asker"
+    }
+    fn provided(&self) -> Interface {
+        Interface::new("Asker", vec![Signature::one_way("ask")])
+    }
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+        let port = msg.value.as_str().unwrap_or_default().to_owned();
+        ctx.send(port, Message::request("tick", Value::Null));
+        Ok(())
+    }
+    fn snapshot(&self) -> StateSnapshot {
+        StateSnapshot::new("Asker", 1)
+    }
+    fn restore(&mut self, _: &StateSnapshot) -> Result<(), crate::error::StateError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn reply_channels_block_in_replier_name_order() {
+    let mut registry = registry();
+    registry.register("Asker", 1, |_| Box::new(Asker));
+    let topo = Topology::clique(3, 1000.0, SimDuration::from_millis(2), 1e7);
+    let mut rt = Runtime::new(topo, 7, registry);
+    let mut cfg = Configuration::new();
+    cfg.component("cli", ComponentDecl::new("Asker", 1, NodeId(0)));
+    cfg.component("zsrv", ComponentDecl::new("Counter", 1, NodeId(1)));
+    cfg.connector(ConnectorSpec::direct("cz"));
+    cfg.bind(BindingDecl::new("cli", "z", "cz", "zsrv", "in"));
+    rt.deploy(&cfg).unwrap();
+    rt.inject("cli", Message::event("ask", Value::from("z")))
+        .unwrap();
+    rt.run_until(SimTime::from_secs(1));
+
+    // `asrv` is interned after `zsrv` but sorts before it, and its reply
+    // channel into `cli` opens second.
+    let plan: ReconfigPlan = vec![
+        ReconfigAction::AddComponent {
+            name: "asrv".into(),
+            decl: ComponentDecl::new("Counter", 1, NodeId(1)),
+        },
+        ReconfigAction::AddConnector {
+            name: "ca".into(),
+            spec: ConnectorSpec::direct("ca"),
+        },
+        ReconfigAction::Bind(BindingDecl::new("cli", "a", "ca", "asrv", "in")),
+    ]
+    .into_iter()
+    .collect();
+    rt.request_reconfig(plan);
+    rt.run_until(SimTime::from_secs(2));
+    rt.inject("cli", Message::event("ask", Value::from("a")))
+        .unwrap();
+    rt.run_until(SimTime::from_secs(3));
+    assert_eq!(rt.metrics().rtt.count(), 2, "both servers replied");
+
+    rt.request_reconfig(ReconfigPlan::single(ReconfigAction::Migrate {
+        name: "cli".into(),
+        to: NodeId(2),
+    }));
+    rt.run_until(SimTime::from_secs(4));
+    assert!(rt.reports().iter().all(|r| r.success));
+    let blocked: Vec<u32> = rt
+        .obs()
+        .audit
+        .entries()
+        .iter()
+        .filter(|e| e.kind.label() == "channel_blocked")
+        .filter_map(|e| {
+            e.subject
+                .strip_suffix(" -> cli")?
+                .strip_prefix("ch=")?
+                .parse()
+                .ok()
+        })
+        .collect();
+    // The external channel, then the reply channels in replier name
+    // order: `asrv`'s (opened later, so numbered higher), then `zsrv`'s.
+    assert_eq!(blocked.len(), 3, "{blocked:?}");
+    assert!(blocked[1] > blocked[2], "{blocked:?}");
+}
+
 // ------------------------------------------------------------------
 // Self-healing: detection, repair policies, crash accounting
 // ------------------------------------------------------------------
@@ -1033,6 +1121,56 @@ fn detector_suspects_silence_and_clears_on_recovery() {
     let labels = audit_labels(&rt);
     assert!(labels.contains(&"failure_suspected"));
     assert!(labels.contains(&"failure_cleared"));
+}
+
+/// The detector's gauges as `(name, value bits)`, in name order.
+fn detector_gauges(obs: &Obs) -> Vec<(String, u64)> {
+    obs.metrics
+        .snapshot()
+        .gauges
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("detector."))
+        .map(|(name, v)| (name, v.to_bits()))
+        .collect()
+}
+
+#[test]
+fn twin_detector_ticks_write_only_the_twins_gauges() {
+    let mut rt = runtime(3);
+    rt.enable_failure_detector(DetectorConfig::new(
+        SimDuration::from_millis(50),
+        2.0,
+        NodeId(0),
+    ));
+    // The mainline's gauge cache is resolved before the fork.
+    rt.run_until(SimTime::from_millis(500));
+    let mainline = detector_gauges(rt.obs());
+    let names: Vec<&str> = mainline.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "detector.phi.node1",
+            "detector.phi.node2",
+            "detector.suspected"
+        ]
+    );
+
+    // The fork loses node 2 and ticks on until it suspects it.
+    let mut twin = rt.fork_twin().expect("quiet runtime forks");
+    node_outage(&mut twin, 2, 600, 5000);
+    twin.run_until(SimTime::from_millis(2000));
+    assert!(twin.failure_detector().unwrap().is_suspected(NodeId(2)));
+
+    assert_eq!(
+        detector_gauges(rt.obs()),
+        mainline,
+        "mainline gauges untouched"
+    );
+    let forked = twin.obs().metrics.snapshot();
+    assert_eq!(forked.gauge("detector.suspected"), Some(1.0));
+    assert!(forked
+        .gauge("detector.phi.node2")
+        .is_some_and(|phi| phi >= 2.0));
 }
 
 #[test]

@@ -174,6 +174,7 @@ impl Runtime {
             connectors: self.connectors.clone(),
             bindings: self.bindings.clone(),
             reply_channels: self.reply_channels.clone(),
+            reply_ops: self.reply_ops.clone(),
             timers: self.timers.clone(),
             flow_seq: self.flow_seq.clone(),
             call: CallCtx::default(),
@@ -187,7 +188,12 @@ impl Runtime {
                 ..ExecState::default()
             },
             raml: None,
-            detector: self.detector.clone(),
+            // The gauge cache points into the mainline's registry: the
+            // twin resolves its own on its first tick.
+            detector: self.detector.as_ref().map(|d| DetectorRt {
+                gauges: None,
+                ..d.clone()
+            }),
             heal: self.heal.clone(),
             negotiate: self.negotiate.clone(),
             coverage: AdaptationCoverage::new(),

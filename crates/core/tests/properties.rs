@@ -3,9 +3,10 @@
 use aas_core::component::{CallCtx, Component, EchoComponent};
 use aas_core::interface::{Interface, Signature, TypeTag};
 use aas_core::lts::{check_compatibility, synthetic_ring, Dir, Label, Lts};
-use aas_core::message::{Message, SeqVerdict, SequenceTracker, Value};
+use aas_core::message::{Message, SeqVerdict, SequenceTracker, Value, ValueMap};
 use aas_sim::time::SimTime;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn type_tag() -> impl Strategy<Value = TypeTag> {
     prop_oneof![
@@ -136,6 +137,37 @@ proptest! {
         let nested = Value::List(vec![v.clone(), v.clone()]);
         prop_assert!(nested.estimated_size() > v.estimated_size());
         let _ = format!("{nested}");
+    }
+
+    /// `ValueMap` behaves like the `BTreeMap<String, Value>` it replaced
+    /// under random `set`/`get` sequences, and copy-on-write keeps every
+    /// earlier clone exactly as it was when taken.
+    #[test]
+    fn value_map_matches_btreemap_model(
+        ops in prop::collection::vec((0usize..3, 0usize..8, 0i64..4), 0..200),
+    ) {
+        const KEYS: [&str; 8] = ["a", "bytes", "cost", "k", "quality", "t", "transcoded", "z"];
+        let mut map: ValueMap = std::iter::empty::<(&str, Value)>().collect();
+        let mut model: BTreeMap<String, Value> = BTreeMap::new();
+        let mut clones: Vec<(ValueMap, BTreeMap<String, Value>)> = Vec::new();
+        for (op, key, val) in ops {
+            let key = KEYS[key];
+            match op {
+                0 => {
+                    map.set(key, Value::Int(val));
+                    model.insert(key.to_owned(), Value::Int(val));
+                }
+                1 => prop_assert_eq!(map.get(key), model.get(key)),
+                _ => clones.push((map.clone(), model.clone())),
+            }
+            prop_assert_eq!(map.len(), model.len());
+        }
+        clones.push((map, model));
+        for (map, model) in &clones {
+            let entries: Vec<(&str, &Value)> = map.iter().map(|(k, v)| (k.as_str(), v)).collect();
+            let expected: Vec<(&str, &Value)> = model.iter().map(|(k, v)| (k.as_str(), v)).collect();
+            prop_assert_eq!(entries, expected);
+        }
     }
 
     /// Echo snapshots roundtrip through arbitrary handled counts.

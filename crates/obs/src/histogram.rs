@@ -285,10 +285,16 @@ impl AtomicHistogram {
         }
         self.buckets[index_of(x)].fetch_add(1, Ordering::Relaxed);
         let bits = x.to_bits();
-        self.min_bits.fetch_min(bits, Ordering::Relaxed);
+        // Bounds only ever tighten, so a load that shows the bound already
+        // at or past `x` proves the read-modify-write would change nothing.
+        if bits < self.min_bits.load(Ordering::Relaxed) {
+            self.min_bits.fetch_min(bits, Ordering::Relaxed);
+        }
         // max_bits starts at 0 == 0.0f64 bits, which is safe because
         // observations are non-negative.
-        self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        if bits > self.max_bits.load(Ordering::Relaxed) {
+            self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        }
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + x).to_bits();
@@ -335,6 +341,42 @@ impl AtomicHistogram {
                 Err(seen) => cur = seen,
             }
         }
+    }
+
+    /// `(mean, quantile(q))` read in place: exactly
+    /// `snapshot().mean()` and `snapshot().quantile(q)`, without copying
+    /// the buckets. The two passes over the buckets are not atomic with
+    /// respect to concurrent writers, which a snapshot is not either.
+    #[must_use]
+    pub fn mean_and_quantile(&self, q: f64) -> (f64, f64) {
+        let count: u64 = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        if count == 0 {
+            return (0.0, 0.0);
+        }
+        let mean = f64::from_bits(self.sum_bits.load(Ordering::Relaxed)) / count as f64;
+        let min_bits = self.min_bits.load(Ordering::Relaxed);
+        let min = if min_bits == u64::MAX {
+            f64::INFINITY
+        } else {
+            f64::from_bits(min_bits)
+        };
+        let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
+        let q = q.clamp(0.0, 1.0);
+        if q == 0.0 {
+            return (mean, min);
+        }
+        if q == 1.0 {
+            return (mean, max);
+        }
+        let target = (q * count as f64).ceil() as u64;
+        let mut seen = 0;
+        for (i, b) in self.buckets.iter().enumerate() {
+            seen += b.load(Ordering::Relaxed);
+            if seen >= target {
+                return (mean, bucket_value(i).clamp(min, max));
+            }
+        }
+        (mean, max)
     }
 
     /// Copies the current state into a plain [`Histogram`].
@@ -458,6 +500,71 @@ mod tests {
         assert_eq!(snap.max(), plain.max());
         assert!((snap.sum() - plain.sum()).abs() < 1e-6);
         assert_eq!(snap.quantile(0.5), plain.quantile(0.5));
+    }
+
+    /// `mean_and_quantile` returns bit for bit what a snapshot would,
+    /// on seeded random streams of every shape, the empty one included.
+    #[test]
+    fn mean_and_quantile_equals_snapshot() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            // xorshift64*: a fixed, seeded stream.
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        for len in [0, 1, 2, 7, 100, 5_000] {
+            let h = AtomicHistogram::new();
+            for _ in 0..len {
+                let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                // Log-uniform over 1e-6 .. 1e9, plus exact zeros.
+                let x = if next() % 17 == 0 {
+                    0.0
+                } else {
+                    10f64.powf(unit * 15.0 - 6.0)
+                };
+                h.observe(x);
+            }
+            let snap = h.snapshot();
+            for q in [0.0, 0.5, 0.99, 1.0, 0.25, 0.999, -1.0, 2.0] {
+                let (mean, quantile) = h.mean_and_quantile(q);
+                assert_eq!(mean.to_bits(), snap.mean().to_bits(), "mean, len {len}");
+                assert_eq!(
+                    quantile.to_bits(),
+                    snap.quantile(q).to_bits(),
+                    "q{q}, len {len}"
+                );
+            }
+        }
+    }
+
+    /// With the min/max fast path, concurrent writers still end with the
+    /// exact count, min and max of the serial stream.
+    #[test]
+    fn concurrent_observe_keeps_exact_count_and_bounds() {
+        let values =
+            |t: u32| (0..5_000).map(move |i| f64::from((i * 7919 + t * 104_729) % 100_003));
+        let mut serial = Histogram::new();
+        for t in 0..4 {
+            values(t).for_each(|x| serial.observe(x));
+        }
+        let shared = std::sync::Arc::new(AtomicHistogram::new());
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let h = std::sync::Arc::clone(&shared);
+                std::thread::spawn(move || values(t).for_each(|x| h.observe(x)))
+            })
+            .collect();
+        for w in writers {
+            w.join().expect("writer thread");
+        }
+        let (got, want) = (shared.snapshot(), serial);
+        assert_eq!(got.count(), want.count());
+        assert_eq!(got.count(), 20_000);
+        assert_eq!(got.min(), want.min());
+        assert_eq!(got.max(), want.max());
+        assert_eq!(got.quantile(0.5), want.quantile(0.5));
     }
 
     #[test]

@@ -72,6 +72,14 @@ impl HistogramHandle {
         self.0.absorb(other);
     }
 
+    /// `(mean, quantile(q))` read in place, without the bucket copy a
+    /// [`HistogramHandle::snapshot`] makes (see
+    /// [`AtomicHistogram::mean_and_quantile`]).
+    #[must_use]
+    pub fn mean_and_quantile(&self, q: f64) -> (f64, f64) {
+        self.0.mean_and_quantile(q)
+    }
+
     /// Copies the current state into a plain [`Histogram`].
     #[must_use]
     pub fn snapshot(&self) -> Histogram {

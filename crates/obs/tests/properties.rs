@@ -6,7 +6,7 @@
 //! the exact rank statistic, and merging is indistinguishable from having
 //! recorded one concatenated stream.
 
-use aas_obs::Histogram;
+use aas_obs::{AtomicHistogram, Histogram};
 use proptest::prelude::*;
 
 /// The exact rank statistic matching `Histogram::quantile`'s definition:
@@ -88,6 +88,25 @@ proptest! {
                     "q={} diverged after merge", q
                 );
             }
+        }
+    }
+
+    /// The atomic histogram's in-place read answers exactly what its
+    /// snapshot would, for any stream (empty included) and any `q`.
+    #[test]
+    fn in_place_read_equals_snapshot(
+        values in prop::collection::vec(1e-6f64..1e9, 0..400),
+        q in 0.0f64..1.0,
+    ) {
+        let h = AtomicHistogram::new();
+        for &v in &values {
+            h.observe(v);
+        }
+        let snap = h.snapshot();
+        for q in [q, 0.0, 0.5, 0.99, 1.0] {
+            let (mean, quantile) = h.mean_and_quantile(q);
+            prop_assert_eq!(mean.to_bits(), snap.mean().to_bits());
+            prop_assert_eq!(quantile.to_bits(), snap.quantile(q).to_bits(), "q={}", q);
         }
     }
 

@@ -42,6 +42,7 @@
 //! - [`channel`] — FIFO channels with blocking (reconfiguration support).
 //! - [`trace`] — resource-fluctuation signals (rush hour, noise, steps).
 //! - [`fault`] — scheduled node crashes and link outages.
+//! - [`hash`] — a multiplicative hasher for maps keyed by small ids.
 //! - [`hier`] — hierarchical [`hier::HierRouter`] with region-scoped
 //!   partial cache invalidation.
 //! - [`kernel`] — the [`kernel::Kernel`] tying it all together.
@@ -58,6 +59,7 @@ pub mod channel;
 pub mod coordinator;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod hier;
 pub mod kernel;
 pub mod link;

@@ -11,10 +11,11 @@
 //! and fully invalidates the moment it bumps, so cached answers are always
 //! identical to a fresh Dijkstra run.
 
+use crate::hash::IdHashMap;
 use crate::link::{Link, LinkId, LinkSpec};
 use crate::node::{Node, NodeId, NodeSpec};
 use crate::time::{SimDuration, SimTime};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Identifier of a routing region (a metro, a motif instance, a cell of a
@@ -725,7 +726,9 @@ impl RouteCacheStats {
 #[derive(Debug)]
 pub struct RouteCache {
     epoch: u64,
-    map: HashMap<(u32, u32, u64), Option<Arc<Route>>>,
+    /// Hashed multiplicatively, not with SipHash: every send looks a
+    /// route up here, and nothing iterates the map.
+    map: IdHashMap<(u32, u32, u64), Option<Arc<Route>>>,
     scratch: RouteScratch,
     stats: RouteCacheStats,
 }
@@ -736,7 +739,7 @@ impl RouteCache {
     pub fn new(topo: &Topology) -> Self {
         RouteCache {
             epoch: topo.epoch(),
-            map: HashMap::new(),
+            map: IdHashMap::default(),
             scratch: RouteScratch::default(),
             stats: RouteCacheStats::default(),
         }

@@ -207,9 +207,13 @@ impl Component for Transcoder {
                 let out_bytes = (bytes as f64 * self.ratio).round() as i64;
                 self.frames += 1;
                 self.bytes_out += out_bytes.max(0) as u64;
+                // The copy shares the payload. Writing the new key first
+                // leaves it uniquely owned, so `bytes` is then overwritten
+                // in place: one allocation per frame at any ratio, none
+                // for an already transcoded frame at ratio 1.
                 let mut v = msg.value.clone();
-                v.set("bytes", Value::Int(out_bytes));
                 v.set("transcoded", Value::Bool(true));
+                v.set("bytes", Value::Int(out_bytes));
                 ctx.send(
                     "out",
                     Message::event("frame", v).with_size(out_bytes.max(0) as u64),
