@@ -1,6 +1,7 @@
-//! E14 bench target: prints the kernel-throughput table, writes the
-//! `BENCH_e14.json` artifact, and micro-measures the routing primitives —
-//! a cache-hit resolve vs a fresh Dijkstra on the sparse topology.
+//! E14 bench target: checks the cells' virtual-time invariants, prints
+//! the kernel-throughput table, writes the `BENCH_e14.json` artifact, and
+//! micro-measures the routing primitives — a cache-hit resolve vs a fresh
+//! Dijkstra on the sparse topology.
 
 use aas_sim::network::{RouteCache, RouteScratch, Topology};
 use aas_sim::node::NodeId;
@@ -9,6 +10,18 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
     let cells = aas_bench::e14::cells();
+    // Virtual-time facts of the serial kernel that hold on any host: a
+    // rerun reproduces every count, and without faults every send is
+    // delivered and the route cache is never flushed.
+    for (c, again) in cells.iter().zip(aas_bench::e14::cells()) {
+        let w = c.workload;
+        assert_eq!(c.events, again.events, "{w}: rerun changed the events");
+        assert_eq!(c.invalidations, again.invalidations, "{w}: rerun");
+        if !c.faults {
+            assert_eq!(c.events, 2 * c.msgs, "{w}: every send delivered");
+            assert_eq!(c.invalidations, 0, "{w}: no faults, no flush");
+        }
+    }
     println!("{}", aas_bench::e14::run());
     // Cargo runs bench binaries with cwd = the package root, so the
     // artifact lands at crates/bench/BENCH_e14.json.

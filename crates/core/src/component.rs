@@ -18,16 +18,6 @@ use crate::message::{Message, Name, Value};
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
 
-/// Unique identifier of a component instance within a runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComponentId(pub u64);
-
-impl fmt::Display for ComponentId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "comp{}", self.0)
-    }
-}
-
 /// Lifecycle of a component instance.
 ///
 /// The `Quiescing → Quiescent` passage implements the paper's

@@ -84,7 +84,7 @@ pub mod reconfig;
 pub mod registry;
 pub mod runtime;
 
-pub use component::{CallCtx, Component, ComponentId, Lifecycle, StateSnapshot};
+pub use component::{CallCtx, Component, Lifecycle, StateSnapshot};
 pub use config::{BindingDecl, ComponentDecl, Configuration};
 pub use connector::{
     Connector, ConnectorAspect, ConnectorFactory, ConnectorSpec, RetryPolicy, RoutingPolicy,

@@ -57,7 +57,7 @@
 //! `metrics` (aggregate metric handles) and `names` (the append-only name
 //! interner and the id-keyed tables the message path reads).
 
-use crate::component::{CallCtx, Component, ComponentId, Effect, Lifecycle};
+use crate::component::{CallCtx, Component, Effect, Lifecycle};
 use crate::config::{BindingDecl, ComponentDecl, Configuration};
 use crate::connector::{Connector, ConnectorId, ConnectorSpec};
 use crate::coverage::{AdaptationCoverage, DetectPhase, PlanOutcome};
@@ -173,8 +173,6 @@ pub enum RuntimeEvent {
 }
 #[derive(Debug)]
 struct Instance {
-    #[allow(dead_code)]
-    id: ComponentId,
     node: NodeId,
     type_name: String,
     version: u32,
@@ -324,7 +322,6 @@ pub struct Runtime {
     /// effect buffer is reused.
     call: CallCtx,
     next_msg_id: u64,
-    next_component_id: u64,
     next_connector_id: u64,
     pending_connector_swaps: BTreeMap<String, ConnectorSpec>,
     /// Transactional plan-execution state (see [`exec`]).
@@ -380,7 +377,6 @@ impl Runtime {
             pending_requests: BTreeMap::new(),
             call: CallCtx::default(),
             next_msg_id: 1,
-            next_component_id: 1,
             next_connector_id: 1,
             pending_connector_swaps: BTreeMap::new(),
             exec: ExecState::default(),

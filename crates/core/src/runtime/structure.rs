@@ -40,14 +40,11 @@ impl Runtime {
         let component = self
             .registry
             .instantiate(&decl.type_name, decl.version, &decl.props)?;
-        let id = ComponentId(self.next_component_id);
-        self.next_component_id += 1;
         let external = self.kernel.open_channel(decl.node, decl.node);
         self.instances.insert(
             &mut self.names,
             name,
             Instance {
-                id,
                 node: decl.node,
                 type_name: decl.type_name.clone(),
                 version: decl.version,

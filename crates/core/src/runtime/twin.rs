@@ -148,7 +148,6 @@ impl Runtime {
                 &mut names,
                 name,
                 Instance {
-                    id: inst.id,
                     node: inst.node,
                     type_name: inst.type_name.clone(),
                     version: inst.version,
@@ -180,7 +179,6 @@ impl Runtime {
             call: CallCtx::default(),
             pending_requests: self.pending_requests.clone(),
             next_msg_id: self.next_msg_id,
-            next_component_id: self.next_component_id,
             next_connector_id: self.next_connector_id,
             pending_connector_swaps: self.pending_connector_swaps.clone(),
             exec: ExecState {

@@ -40,11 +40,10 @@
 //! harness in `tests/shard_determinism.rs` checks all of this byte for
 //! byte against K=1.
 
-use crate::channel::{Channel, ChannelId, ChannelStats};
-use crate::event::EventQueue;
+use crate::channel::{ChannelId, ChannelStats};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::hier::HierStats;
-use crate::kernel::{Kernel, KernelCounter, KernelEvent};
+use crate::kernel::{Kernel, KernelCounter};
 use crate::link::LinkId;
 use crate::network::{RouteCacheStats, Topology};
 use crate::node::NodeId;
@@ -434,25 +433,11 @@ impl<M: Send + 'static> ShardedKernel<M> {
         {
             let mut core = shared.shards[ssh].0.lock().expect("shard lock");
             core.ensure_channel_slot(ch);
-            core.send_sides[ch.0 as usize] = Some(SendSide {
-                src,
-                dst,
-                open: true,
-                fifo_tail: SimTime::ZERO,
-                sent: 0,
-                dropped: 0,
-            });
+            core.send_sides[ch.0 as usize] = Some(SendSide::new(src, dst));
         }
         let mut core = shared.shards[dsh].0.lock().expect("shard lock");
         core.ensure_channel_slot(ch);
-        core.deliver_sides[ch.0 as usize] = Some(DeliverSide {
-            dst,
-            open: true,
-            blocked: false,
-            held: VecDeque::new(),
-            delivered: 0,
-            dropped: 0,
-        });
+        core.deliver_sides[ch.0 as usize] = Some(DeliverSide::new(dst));
         ch
     }
 
@@ -817,42 +802,23 @@ impl<M: Send + 'static> ShardedKernel<M> {
                     SyncCmd::Block(ch) => {
                         let dsh = world.map.shard_of(self.dir[ch.0 as usize].1).0 as usize;
                         if let Some(side) = cores[dsh].deliver_sides[ch.0 as usize].as_mut() {
-                            side.blocked = true;
+                            side.block();
                         }
                     }
                     SyncCmd::Unblock(ch) => {
                         let dsh = world.map.shard_of(self.dir[ch.0 as usize].1).0 as usize;
-                        let held = {
-                            let Some(side) = cores[dsh].deliver_sides[ch.0 as usize].as_mut()
-                            else {
-                                continue;
-                            };
-                            side.blocked = false;
-                            std::mem::take(&mut side.held)
-                        };
-                        self.coord_counters[KernelCounter::Released as usize] += held.len() as u64;
-                        for (i, h) in held.into_iter().enumerate() {
-                            cores[dsh].queue.push(Entry {
-                                at: ts,
-                                key: EventKey::new(cmd, i as u32 + 1),
-                                ev: ShardEvent::Deliver {
-                                    ch,
-                                    msg: h.msg,
-                                    size: h.size,
-                                    sent_at: h.sent_at,
-                                },
-                            });
-                        }
+                        self.coord_counters[KernelCounter::Released as usize] +=
+                            cores[dsh].release(ch, ts, cmd);
                     }
                     SyncCmd::Close(ch) => {
                         let (src, dst) = self.dir[ch.0 as usize];
                         let ssh = world.map.shard_of(src).0 as usize;
                         let dsh = world.map.shard_of(dst).0 as usize;
                         if let Some(side) = cores[ssh].send_sides[ch.0 as usize].as_mut() {
-                            side.open = false;
+                            side.close();
                         }
                         if let Some(side) = cores[dsh].deliver_sides[ch.0 as usize].as_mut() {
-                            side.open = false;
+                            side.close();
                         }
                     }
                     SyncCmd::Rebind(ch, ns, nd) => {
@@ -872,12 +838,11 @@ impl<M: Send + 'static> ShardedKernel<M> {
                         let mut sside = cores[ossh].send_sides[ch.0 as usize]
                             .take()
                             .expect("send side");
-                        sside.src = ns;
-                        sside.dst = nd;
+                        sside.rebind(ns, nd);
                         let mut dside = cores[odsh].deliver_sides[ch.0 as usize]
                             .take()
                             .expect("deliver side");
-                        dside.dst = nd;
+                        dside.rebind(nd);
                         cores[nssh].ensure_channel_slot(ch);
                         cores[nssh].send_sides[ch.0 as usize] = Some(sside);
                         cores[ndsh].ensure_channel_slot(ch);
@@ -894,7 +859,9 @@ impl<M: Send + 'static> ShardedKernel<M> {
                             let dest = match e.ev {
                                 ShardEvent::SendCmd { .. } => nssh,
                                 ShardEvent::Deliver { .. } => ndsh,
-                                ShardEvent::Timer { .. } => unreachable!("timers are channel-less"),
+                                ShardEvent::Timer { .. } | ShardEvent::Fault(_) => {
+                                    unreachable!("timers and faults are channel-less")
+                                }
                             };
                             cores[dest].queue.push(e);
                         }
@@ -904,11 +871,10 @@ impl<M: Send + 'static> ShardedKernel<M> {
             } else {
                 let (i, _) = best.expect("have a shard event");
                 let entry = cores[i].queue.pop().expect("peeked");
-                cores[i].process(entry, &world.topo, &world.map);
                 // Fired events surface immediately, and cross-shard output
                 // is forwarded right away so a same-instant consequence on
                 // another shard is visible within this step.
-                for e in cores[i].fired.drain(..) {
+                if let Some(e) = cores[i].process(entry, &world.topo, &world.map) {
                     out.push(e);
                 }
                 for d in 0..k {
@@ -1159,11 +1125,12 @@ impl<M: Send + Clone + 'static> ShardedKernel<M> {
     /// Projects the sharded kernel onto a serial [`Kernel`] fork.
     ///
     /// This is the sharded half of the snapshot-and-fork story: at a
-    /// barrier, every shard's pending events, channel halves and counters
-    /// are stitched back into one serial kernel that shares no state with
-    /// the coordinator or its workers. The projection is only faithful
-    /// when nothing is "in between" representations, so it returns `None`
-    /// when:
+    /// barrier, every shard core's pending entries (queued and in its
+    /// inbox, each with its key), channel sides, counters and link bytes
+    /// are copied into the serial kernel's one core, which shares no state
+    /// with the coordinator or its workers. The projection is only
+    /// faithful when nothing is "in between" representations, so it
+    /// returns `None` when:
     ///
     /// - synchronous commands (faults, blocks, closes, rebinds) are still
     ///   queued coordinator-side — they execute outside shard state and
@@ -1174,134 +1141,26 @@ impl<M: Send + Clone + 'static> ShardedKernel<M> {
     ///   sends have routed (i.e. fork after a `drain()`/barrier, not
     ///   between `send` and `step`).
     ///
-    /// Pending deliveries and timers re-enter the serial queue in the
-    /// sharded total order `(time, key)`; the serial queue's insertion-seq
-    /// tie-break then reproduces that order exactly, so a drain of the
-    /// fork fires the same events at the same times as a drain of the
-    /// sharded mainline (see `tests/fork_determinism.rs`).
+    /// Keys carry over unchanged and the fork's key allocator continues
+    /// from the coordinator's, so a drain of the fork fires the same
+    /// events at the same times as a drain of the sharded mainline (see
+    /// `tests/fork_determinism.rs`).
     pub fn fork_serial(&self) -> Option<Kernel<M>> {
         if !self.sync.is_empty() {
             return None;
         }
         let world = self.shared.world.read().expect("world lock");
-        let cores: Vec<MutexGuard<'_, ShardCore<M>>> = self
-            .shared
-            .shards
-            .iter()
-            .map(|m| m.0.lock().expect("shard lock"))
-            .collect();
-
-        let mut counters = self.coord_counters;
-        let mut hier = false;
-        let mut pending: Vec<(SimTime, EventKey, KernelEvent<M>)> = Vec::new();
-        for core in &cores {
-            hier |= core.hier.is_some();
-            for (i, c) in core.counters.iter().enumerate() {
-                counters[i] += c;
-            }
-            for e in core.queue.iter() {
-                match &e.ev {
-                    ShardEvent::SendCmd { .. } => return None,
-                    ShardEvent::Deliver {
-                        ch,
-                        msg,
-                        size,
-                        sent_at,
-                    } => pending.push((
-                        e.at,
-                        e.key,
-                        KernelEvent::Deliver {
-                            channel: *ch,
-                            msg: msg.clone(),
-                            size: *size,
-                            sent_at: *sent_at,
-                        },
-                    )),
-                    ShardEvent::Timer { tag } => {
-                        pending.push((e.at, e.key, KernelEvent::Timer { tag: *tag }));
-                    }
-                }
-            }
+        let mut fork = Kernel::new(world.topo.clone(), Self::FORK_SEED);
+        for m in &self.shared.shards {
+            fork.core.absorb(&m.0.lock().expect("shard lock"))?;
         }
-        // In-transit deliveries still parked in the inboxes (the barrier
-        // deposits batches the owner drains only at its next window) are
-        // pending events like any other.
-        for core in &cores {
-            for b in &core.inbox {
-                for j in 0..b.len() {
-                    pending.push((
-                        b.ats[j],
-                        b.keys[j],
-                        KernelEvent::Deliver {
-                            channel: b.chs[j],
-                            msg: b.msgs[j].clone(),
-                            size: b.sizes[j],
-                            sent_at: b.sent_ats[j],
-                        },
-                    ));
-                }
-            }
+        for (c, n) in fork.core.counters.iter_mut().zip(self.coord_counters) {
+            *c += n;
         }
-        pending.sort_by_key(|e| (e.0, e.1));
-        let mut queue = EventQueue::with_capacity(pending.len());
-        for (at, _, ev) in pending {
-            queue.push(at, ev);
-        }
-
-        // Stitch each channel's send half (source shard) and delivery half
-        // (destination shard) back into one serial channel. The send side
-        // carries the authoritative endpoints — rebinds update it first.
-        let mut channels = Vec::with_capacity(self.dir.len());
-        for (idx, (src0, dst0)) in self.dir.iter().enumerate() {
-            let (mut src, mut dst) = (*src0, *dst0);
-            let mut open = true;
-            let mut blocked = false;
-            let mut fifo_tail = SimTime::ZERO;
-            let mut held = VecDeque::new();
-            let mut stats = ChannelStats::default();
-            for core in &cores {
-                if let Some(Some(s)) = core.send_sides.get(idx) {
-                    src = s.src;
-                    dst = s.dst;
-                    open &= s.open;
-                    fifo_tail = s.fifo_tail;
-                    stats.sent += s.sent;
-                    stats.dropped += s.dropped;
-                }
-                if let Some(Some(d)) = core.deliver_sides.get(idx) {
-                    open &= d.open;
-                    blocked = d.blocked;
-                    held.extend(d.held.iter().cloned());
-                    stats.delivered += d.delivered;
-                    stats.dropped += d.dropped;
-                    stats.held += d.held.len() as u64;
-                }
-            }
-            channels.push(Channel {
-                id: ChannelId(idx as u64),
-                src,
-                dst,
-                open,
-                blocked,
-                fifo_tail,
-                held,
-                stats,
-            });
-        }
-
-        let topo = world.topo.clone();
-        drop(cores);
-        drop(world);
-        Some(Kernel::from_parts(
-            self.now,
-            queue,
-            topo,
-            channels,
-            Self::FORK_SEED,
-            counters,
-            hier,
-            self.next_timer_tag,
-        ))
+        fork.now = self.now;
+        fork.next_cmd = self.next_cmd;
+        fork.next_timer_tag = self.next_timer_tag;
+        Some(fork)
     }
 }
 

@@ -1,21 +1,24 @@
 //! The discrete-event simulation kernel.
 //!
-//! A [`Kernel`] owns virtual time, the event queue, the [`Topology`],
-//! channels and the fault schedule. Higher layers (the component runtime in
-//! `aas-core`) drive it by calling [`Kernel::step`] in a loop and reacting
-//! to the [`Fired`] occurrences it yields.
+//! A [`Kernel`] owns virtual time, the [`Topology`] and one event core
+//! (the event queue, channels, routing and pending faults). Higher layers
+//! (the component runtime in `aas-core`) drive it by calling
+//! [`Kernel::step`] in a loop and reacting to the [`Fired`] occurrences it
+//! yields.
 
-use crate::channel::{Channel, ChannelId, ChannelStats, DropReason, HeldMessage};
-use crate::event::EventQueue;
+use crate::channel::{ChannelId, ChannelStats, DropReason, HeldMessage};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::hier::{HierRouter, HierStats};
-use crate::network::{Route, RouteCache, RouteCacheStats, Topology};
+use crate::link::LinkId;
+use crate::network::{Route, RouteCacheStats, Topology};
 use crate::node::NodeId;
 use crate::rng::SimRng;
+use crate::shard::{
+    Arrival, DeliverSide, Entry, EventKey, SendSide, ShardCore, ShardEvent, ShardMap,
+};
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
 use aas_obs::{SpanId, Tracer};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The kernel's per-message lifecycle counters, enum-indexed so the hot
@@ -85,23 +88,6 @@ impl SendOutcome {
     }
 }
 
-/// Internal event representation. Crate-visible so the sharded kernel's
-/// serial projection ([`crate::coordinator::ShardedKernel::fork_serial`])
-/// can rebuild a serial queue from shard state.
-#[derive(Debug, Clone)]
-pub(crate) enum KernelEvent<M> {
-    Deliver {
-        channel: ChannelId,
-        msg: M,
-        size: u64,
-        sent_at: SimTime,
-    },
-    Timer {
-        tag: u64,
-    },
-    Fault(FaultKind),
-}
-
 /// An occurrence handed to the caller by [`Kernel::step`].
 #[derive(Debug)]
 pub enum Fired<M> {
@@ -137,7 +123,19 @@ pub enum Fired<M> {
     },
 }
 
-/// The simulation kernel.
+/// The simulation kernel: the single-shard driver of the event core.
+///
+/// All channel, routing and delivery logic lives in one
+/// [`ShardCore`](crate::shard) — the same core each shard of a
+/// [`ShardedKernel`](crate::coordinator::ShardedKernel) runs — driven here
+/// with one shard that owns every node. The kernel adds what a serial
+/// caller needs around it: the mutable [`Topology`], the clock, an RNG
+/// stream, a tracer, and synchronous commands that take effect "now".
+///
+/// Every push (an accepted send, a timer, a fault, an unblock) takes the
+/// next [`EventKey`]; the messages one unblock releases share its key and
+/// are ordered by sub-key. So `(time, key)` order is push order among
+/// same-instant events.
 ///
 /// # Examples
 ///
@@ -160,74 +158,43 @@ pub enum Fired<M> {
 /// ```
 #[derive(Debug)]
 pub struct Kernel<M> {
-    now: SimTime,
-    queue: EventQueue<KernelEvent<M>>,
+    pub(crate) now: SimTime,
+    pub(crate) core: ShardCore<M>,
     topology: Topology,
-    channels: Vec<Channel<M>>,
+    /// One shard owning every node; grown with the topology.
+    map: ShardMap,
     rng: SimRng,
-    /// Enum-indexed fast counters; exported on demand by
-    /// [`Kernel::counters`].
-    counters: [u64; KernelCounter::COUNT],
-    route_cache: RouteCache,
-    /// Hierarchical router; when set, routing goes through it instead of
-    /// the flat epoch-flushed cache.
-    hier: Option<HierRouter>,
     tracer: Tracer,
-    next_timer_tag: u64,
+    /// The `cmd` of the next [`EventKey`].
+    pub(crate) next_cmd: u64,
+    pub(crate) next_timer_tag: u64,
 }
 
 impl<M> Kernel<M> {
     /// Creates a kernel over `topology`, seeded with `seed`.
     #[must_use]
     pub fn new(topology: Topology, seed: u64) -> Self {
-        let route_cache = RouteCache::new(&topology);
         Kernel {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            core: ShardCore::new(0, 1, &topology),
+            map: ShardMap::round_robin(topology.node_count(), 1),
             topology,
-            channels: Vec::new(),
             rng: SimRng::seed_from(seed),
-            counters: [0; KernelCounter::COUNT],
-            route_cache,
-            hier: None,
             tracer: Tracer::new(),
+            next_cmd: 0,
             next_timer_tag: 0,
         }
     }
 
-    /// Crate-internal constructor from pre-built parts — the sharded
-    /// kernel's serial projection assembles a `Kernel` out of shard-owned
-    /// state at a barrier (see
-    /// [`crate::coordinator::ShardedKernel::fork_serial`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        now: SimTime,
-        queue: EventQueue<KernelEvent<M>>,
-        topology: Topology,
-        channels: Vec<Channel<M>>,
-        seed: u64,
-        counters: [u64; KernelCounter::COUNT],
-        hier: bool,
-        next_timer_tag: u64,
-    ) -> Self {
-        let route_cache = RouteCache::new(&topology);
-        Kernel {
-            now,
-            queue,
-            topology,
-            channels,
-            rng: SimRng::seed_from(seed),
-            counters,
-            route_cache,
-            hier: hier.then(HierRouter::new),
-            tracer: Tracer::new(),
-            next_timer_tag,
-        }
+    fn next_cmd(&mut self) -> u64 {
+        let cmd = self.next_cmd;
+        self.next_cmd += 1;
+        cmd
     }
 
-    #[inline]
-    fn bump(&mut self, c: KernelCounter) {
-        self.counters[c as usize] += 1;
+    fn push(&mut self, at: SimTime, ev: ShardEvent<M>) {
+        let key = EventKey::new(self.next_cmd(), 0);
+        self.core.queue.push(Entry { at, key, ev });
     }
 
     /// Current virtual time.
@@ -260,7 +227,7 @@ impl<M> Kernel<M> {
     pub fn counters(&self) -> Counters {
         let mut c = Counters::new();
         for k in KernelCounter::ALL {
-            c.add(k.name(), self.counters[k as usize]);
+            c.add(k.name(), self.counter(k));
         }
         c
     }
@@ -268,19 +235,17 @@ impl<M> Kernel<M> {
     /// Reads one fast counter directly, no export.
     #[must_use]
     pub fn counter(&self, c: KernelCounter) -> u64 {
-        self.counters[c as usize]
+        self.core.counters[c as usize]
     }
 
     /// Resolves the route a send on `(src, dst, size)` would take right
     /// now, through the kernel's active router — the hierarchical one when
     /// [`Kernel::enable_hier_routing`] has been called, the flat
-    /// epoch-invalidated [`RouteCache`] otherwise. Exposed so tests and
-    /// benches can audit exactly what the send path uses.
+    /// epoch-invalidated [`RouteCache`](crate::network::RouteCache)
+    /// otherwise. Exposed so tests and benches can audit exactly what the
+    /// send path uses.
     pub fn route(&mut self, src: NodeId, dst: NodeId, size: u64) -> Option<Arc<Route>> {
-        match &mut self.hier {
-            Some(h) => h.resolve(&self.topology, src, dst, size),
-            None => self.route_cache.resolve(&self.topology, src, dst, size),
-        }
+        self.core.route(&self.topology, src, dst, size)
     }
 
     /// Route-cache performance counters (hits, misses, invalidations).
@@ -288,7 +253,7 @@ impl<M> Kernel<M> {
     /// [`Kernel::hier_stats`] then.
     #[must_use]
     pub fn route_cache_stats(&self) -> RouteCacheStats {
-        self.route_cache.stats()
+        self.core.route_cache_stats()
     }
 
     /// Switches routing to a [`HierRouter`] with region-scoped partial
@@ -297,14 +262,21 @@ impl<M> Kernel<M> {
     /// hierarchically; unassigned topologies fall back to flat searches
     /// per query. Calling this again resets the router.
     pub fn enable_hier_routing(&mut self) {
-        self.hier = Some(HierRouter::new());
+        self.core.hier = Some(HierRouter::new());
     }
 
     /// Hierarchical-router counters; `None` until
     /// [`Kernel::enable_hier_routing`].
     #[must_use]
     pub fn hier_stats(&self) -> Option<HierStats> {
-        self.hier.as_ref().map(HierRouter::stats)
+        self.core.hier_stats()
+    }
+
+    /// Total bytes sent messages have charged to link `lid`: every
+    /// accepted send charges its size to each link on its route.
+    #[must_use]
+    pub fn link_bytes(&self, lid: LinkId) -> u64 {
+        self.core.link_bytes(lid)
     }
 
     /// Replaces the kernel's tracer, typically with a shared workspace
@@ -322,28 +294,51 @@ impl<M> Kernel<M> {
 
     // ----- channels --------------------------------------------------
 
+    /// Panics on an endpoint outside the topology; grows the shard map to
+    /// cover nodes added since.
+    fn check_endpoints(&mut self, src: NodeId, dst: NodeId) {
+        let n = self.topology.node_count();
+        assert!((src.0 as usize) < n, "bad src");
+        assert!((dst.0 as usize) < n, "bad dst");
+        self.map.extend_to(n);
+    }
+
+    fn send_side(&mut self, ch: ChannelId) -> &mut SendSide {
+        self.core.send_sides[ch.0 as usize]
+            .as_mut()
+            .expect("open channel")
+    }
+
+    fn deliver_side(&mut self, ch: ChannelId) -> &mut DeliverSide<M> {
+        self.core.deliver_sides[ch.0 as usize]
+            .as_mut()
+            .expect("open channel")
+    }
+
     /// Opens a FIFO channel from `src` to `dst`, returning its id.
     ///
     /// # Panics
     ///
     /// Panics if either node does not exist in the topology.
     pub fn open_channel(&mut self, src: NodeId, dst: NodeId) -> ChannelId {
-        assert!((src.0 as usize) < self.topology.node_count(), "bad src");
-        assert!((dst.0 as usize) < self.topology.node_count(), "bad dst");
-        let id = ChannelId(self.channels.len() as u64);
-        self.channels.push(Channel::new(id, src, dst));
-        id
+        self.check_endpoints(src, dst);
+        let ch = ChannelId(self.core.send_sides.len() as u64);
+        self.core.ensure_channel_slot(ch);
+        self.core.send_sides[ch.0 as usize] = Some(SendSide::new(src, dst));
+        self.core.deliver_sides[ch.0 as usize] = Some(DeliverSide::new(dst));
+        ch
     }
 
     /// Closes a channel; messages still in flight will be dropped at
     /// delivery time with [`DropReason::ChannelClosed`].
     pub fn close_channel(&mut self, ch: ChannelId) {
-        self.channel_mut(ch).open = false;
+        self.send_side(ch).close();
+        self.deliver_side(ch).close();
     }
 
     /// Rebinds a channel's endpoints (used when a component migrates).
-    /// Messages already in flight are unaffected; new sends use the new
-    /// endpoints.
+    /// New sends use the new endpoints; messages already in flight are
+    /// delivered against the new destination.
     ///
     /// # Panics
     ///
@@ -351,30 +346,34 @@ impl<M> Kernel<M> {
     /// validation [`Kernel::open_channel`] applies, so a bad migration
     /// fails at the rebind instead of at a later routing query.
     pub fn rebind_channel(&mut self, ch: ChannelId, src: NodeId, dst: NodeId) {
-        assert!((src.0 as usize) < self.topology.node_count(), "bad src");
-        assert!((dst.0 as usize) < self.topology.node_count(), "bad dst");
-        let c = self.channel_mut(ch);
-        c.src = src;
-        c.dst = dst;
+        self.check_endpoints(src, dst);
+        self.send_side(ch).rebind(src, dst);
+        self.deliver_side(ch).rebind(dst);
     }
 
     /// The `(src, dst)` endpoints of a channel.
     #[must_use]
     pub fn channel_endpoints(&self, ch: ChannelId) -> (NodeId, NodeId) {
-        let c = self.channel(ch);
-        (c.src, c.dst)
+        let side = self.core.send_sides[ch.0 as usize]
+            .as_ref()
+            .expect("open channel");
+        (side.src, side.dst)
     }
 
     /// Per-channel statistics.
     #[must_use]
     pub fn channel_stats(&self, ch: ChannelId) -> ChannelStats {
-        self.channel(ch).stats
+        let mut stats = ChannelStats::default();
+        self.core.channel_stats_into(ch, &mut stats);
+        stats
     }
 
     /// Whether the channel is currently blocked.
     #[must_use]
     pub fn is_blocked(&self, ch: ChannelId) -> bool {
-        self.channel(ch).blocked
+        self.core.deliver_sides[ch.0 as usize]
+            .as_ref()
+            .is_some_and(|side| side.blocked)
     }
 
     /// Blocks a channel: subsequent deliveries are held, in order, until
@@ -382,7 +381,7 @@ impl<M> Kernel<M> {
     /// travel and then wait at the destination), exactly the Polylith
     /// "manage messages in transit" behaviour the paper describes.
     pub fn block_channel(&mut self, ch: ChannelId) {
-        self.channel_mut(ch).blocked = true;
+        self.deliver_side(ch).block();
         self.tracer.event(
             SpanId::NONE,
             "queue",
@@ -394,31 +393,14 @@ impl<M> Kernel<M> {
     /// Unblocks a channel, rescheduling all held messages for immediate
     /// delivery in their original order.
     pub fn unblock_channel(&mut self, ch: ChannelId) {
-        let now = self.now;
-        let c = self.channel_mut(ch);
-        c.blocked = false;
-        // Take the deque wholesale and push straight into the event queue —
-        // no intermediate collection.
-        let held: VecDeque<HeldMessage<M>> = std::mem::take(&mut c.held);
-        let held_count = held.len() as u64;
-        c.stats.held = 0;
-        for h in held {
-            self.queue.push(
-                now,
-                KernelEvent::Deliver {
-                    channel: ch,
-                    msg: h.msg,
-                    size: h.size,
-                    sent_at: h.sent_at,
-                },
-            );
-        }
-        self.counters[KernelCounter::Released as usize] += held_count;
+        let cmd = self.next_cmd();
+        let held = self.core.release(ch, self.now, cmd);
+        self.core.counters[KernelCounter::Released as usize] += held;
         self.tracer.event(
             SpanId::NONE,
             "queue",
-            &format!("release ch={} held={held_count}", ch.0),
-            now.as_micros(),
+            &format!("release ch={} held={held}", ch.0),
+            self.now.as_micros(),
         );
     }
 
@@ -448,94 +430,42 @@ impl<M> Kernel<M> {
         msg: M,
         size: u64,
     ) -> Result<SimDuration, (DropReason, M)> {
-        let (src, dst, open) = {
-            let c = self.channel(ch);
-            (c.src, c.dst, c.open)
-        };
-        if !open {
-            self.channel_mut(ch).stats.dropped += 1;
-            self.bump(KernelCounter::Dropped);
-            return Err((DropReason::ChannelClosed, msg));
-        }
-        let Some(route) = self.route(src, dst, size) else {
-            self.channel_mut(ch).stats.dropped += 1;
-            self.bump(KernelCounter::Dropped);
-            return Err((DropReason::Unreachable, msg));
-        };
-        self.topology.account_route(&route, size);
-        let arrival = (self.now + route.transit).max(self.channel(ch).fifo_tail);
+        let now = self.now;
+        let (arrival, dest) = match self
+            .core
+            .route_send(now, ch, size, &self.topology, &self.map)
         {
-            let c = self.channel_mut(ch);
-            c.fifo_tail = arrival;
-            c.stats.sent += 1;
-        }
-        self.bump(KernelCounter::Sent);
+            Ok(routed) => routed,
+            Err(reason) => return Err((reason, msg)),
+        };
+        let key = EventKey::new(self.next_cmd(), 0);
+        self.core.enqueue(dest, arrival, key, ch, msg, size, now);
         if self.tracer.sample_hop() {
+            let (src, dst) = self.channel_endpoints(ch);
             self.tracer.hop(
                 "send",
                 &format!("ch={} {}->{}", ch.0, src.0, dst.0),
-                self.now.as_micros(),
+                now.as_micros(),
             );
         }
-        let sent_at = self.now;
-        self.queue.push(
-            arrival,
-            KernelEvent::Deliver {
-                channel: ch,
-                msg,
-                size,
-                sent_at,
-            },
-        );
-        Ok(arrival.saturating_since(self.now))
+        Ok(arrival.saturating_since(now))
     }
 
-    fn channel(&self, ch: ChannelId) -> &Channel<M> {
-        &self.channels[ch.0 as usize]
-    }
-
-    fn channel_mut(&mut self, ch: ChannelId) -> &mut Channel<M> {
-        &mut self.channels[ch.0 as usize]
-    }
-
-    // ----- timers -----------------------------------------------------
+    // ----- timers and faults -------------------------------------------
 
     /// Schedules a timer to fire after `delay`; returns its tag.
     pub fn set_timer(&mut self, delay: SimDuration) -> u64 {
         let tag = self.next_timer_tag;
         self.next_timer_tag += 1;
-        self.queue
-            .push(self.now + delay, KernelEvent::Timer { tag });
+        self.push(self.now + delay, ShardEvent::Timer { tag });
         tag
     }
-
-    /// Schedules a timer with a caller-chosen tag. Tags supplied here may
-    /// collide with automatic tags if mixed carelessly; prefer one scheme
-    /// per runtime.
-    pub fn set_timer_with_tag(&mut self, delay: SimDuration, tag: u64) {
-        self.queue
-            .push(self.now + delay, KernelEvent::Timer { tag });
-    }
-
-    // ----- faults -----------------------------------------------------
 
     /// Injects every fault in `schedule` as future events.
     pub fn inject_faults(&mut self, schedule: FaultSchedule) {
         for (at, kind) in schedule.into_entries() {
-            self.queue.push(at, KernelEvent::Fault(kind));
+            self.push(at, ShardEvent::Fault(kind));
         }
-    }
-
-    fn apply_fault(&mut self, kind: FaultKind) {
-        // Liveness flips go through the topology-level mutators so the
-        // routing epoch bumps and the route cache invalidates.
-        match kind {
-            FaultKind::NodeCrash(n) => self.topology.set_node_up(n, false),
-            FaultKind::NodeRecover(n) => self.topology.set_node_up(n, true),
-            FaultKind::LinkDown(l) => self.topology.set_link_up(l, false),
-            FaultKind::LinkUp(l) => self.topology.set_link_up(l, true),
-        }
-        self.bump(KernelCounter::FaultsApplied);
     }
 
     // ----- the engine loop ---------------------------------------------
@@ -544,96 +474,77 @@ impl<M> Kernel<M> {
     /// is empty. Virtual time never goes backwards.
     pub fn step(&mut self) -> Option<(SimTime, Fired<M>)> {
         loop {
-            let (at, ev) = self.queue.pop()?;
+            let entry = self.core.queue.pop()?;
+            let at = entry.at;
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
-            match ev {
-                KernelEvent::Timer { tag } => {
-                    return Some((at, Fired::Timer { tag }));
-                }
-                KernelEvent::Fault(kind) => {
-                    self.apply_fault(kind);
-                    return Some((at, Fired::Fault(kind)));
-                }
-                KernelEvent::Deliver {
-                    channel,
+            let fired = match entry.ev {
+                ShardEvent::Deliver {
+                    ch,
                     msg,
                     size,
                     sent_at,
-                } => {
-                    let (open, blocked, dst) = {
-                        let c = self.channel(channel);
-                        (c.open, c.blocked, c.dst)
-                    };
-                    if !open {
-                        self.channel_mut(channel).stats.dropped += 1;
-                        self.bump(KernelCounter::Dropped);
-                        return Some((
-                            at,
-                            Fired::DroppedAtDelivery {
-                                channel,
-                                msg,
-                                reason: DropReason::ChannelClosed,
-                            },
-                        ));
-                    }
-                    if blocked {
-                        let c = self.channel_mut(channel);
-                        c.held.push_back(HeldMessage { msg, size, sent_at });
-                        c.stats.held = c.held.len() as u64;
-                        self.bump(KernelCounter::Held);
+                } => match self.core.arrive(ch, &self.topology) {
+                    Arrival::Deliver => {
                         if self.tracer.sample_hop() {
-                            self.tracer
-                                .hop("hold", &format!("ch={}", channel.0), at.as_micros());
+                            let delay_us = at.saturating_since(sent_at).as_micros();
+                            self.tracer.hop(
+                                "deliver",
+                                &format!("ch={} delay_us={delay_us}", ch.0),
+                                at.as_micros(),
+                            );
                         }
-                        continue; // invisible to the application; keep stepping
-                    }
-                    if !self.topology.node(dst).is_up() {
-                        self.channel_mut(channel).stats.dropped += 1;
-                        self.bump(KernelCounter::Dropped);
-                        return Some((
-                            at,
-                            Fired::DroppedAtDelivery {
-                                channel,
-                                msg,
-                                reason: DropReason::DestinationDown,
-                            },
-                        ));
-                    }
-                    self.channel_mut(channel).stats.delivered += 1;
-                    self.bump(KernelCounter::Delivered);
-                    if self.tracer.sample_hop() {
-                        let delay_us = at.saturating_since(sent_at).as_micros();
-                        self.tracer.hop(
-                            "deliver",
-                            &format!("ch={} delay_us={delay_us}", channel.0),
-                            at.as_micros(),
-                        );
-                    }
-                    return Some((
-                        at,
                         Fired::Delivered {
-                            channel,
+                            channel: ch,
                             msg,
                             size,
                             sent_at,
-                        },
-                    ));
+                        }
+                    }
+                    Arrival::Hold => {
+                        self.core.hold(ch, HeldMessage { msg, size, sent_at });
+                        if self.tracer.sample_hop() {
+                            self.tracer
+                                .hop("hold", &format!("ch={}", ch.0), at.as_micros());
+                        }
+                        continue; // invisible to the caller; keep stepping
+                    }
+                    Arrival::Drop(reason) => Fired::DroppedAtDelivery {
+                        channel: ch,
+                        msg,
+                        reason,
+                    },
+                },
+                ShardEvent::Timer { tag } => Fired::Timer { tag },
+                ShardEvent::Fault(kind) => {
+                    // Liveness flips go through the topology-level mutators
+                    // so the routing epoch bumps and the route cache
+                    // invalidates.
+                    match kind {
+                        FaultKind::NodeCrash(n) => self.topology.set_node_up(n, false),
+                        FaultKind::NodeRecover(n) => self.topology.set_node_up(n, true),
+                        FaultKind::LinkDown(l) => self.topology.set_link_up(l, false),
+                        FaultKind::LinkUp(l) => self.topology.set_link_up(l, true),
+                    }
+                    self.core.counters[KernelCounter::FaultsApplied as usize] += 1;
+                    Fired::Fault(kind)
                 }
-            }
+                ShardEvent::SendCmd { .. } => unreachable!("sends route when they are made"),
+            };
+            return Some((at, fired));
         }
     }
 
     /// Whether any events are pending.
     #[must_use]
     pub fn has_pending(&self) -> bool {
-        !self.queue.is_empty()
+        !self.core.queue.is_empty()
     }
 
     /// Time of the next pending event, if any.
     #[must_use]
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.core.queue.peek().map(|(at, _)| at)
     }
 
     /// Runs a job of `cost` work units on `node`, returning the total delay
@@ -652,12 +563,12 @@ impl<M> Kernel<M> {
 impl<M: Clone> Kernel<M> {
     /// Forks the kernel: a cheap, O(state) deep copy that shares **no**
     /// mutable state with the original. The fork carries the same virtual
-    /// time, pending event queue (tie order included), topology, channel
-    /// halves (open/blocked flags, FIFO tails, held messages, stats),
-    /// lifecycle counters, RNG stream position and timer-tag allocator —
-    /// so a fork fed the same inputs replays **byte-identically** to the
-    /// mainline, and dropping a fork never perturbs the mainline (see
-    /// `tests/fork_determinism.rs`).
+    /// time, pending events (keys, hence tie order, included), topology,
+    /// channel sides (open/blocked flags, FIFO tails, held messages,
+    /// stats), lifecycle counters, link bytes, RNG stream position, key
+    /// and timer-tag allocators — so a fork fed the same inputs replays
+    /// **byte-identically** to the mainline, and dropping a fork never
+    /// perturbs the mainline (see `tests/fork_determinism.rs`).
     ///
     /// Two pieces are deliberately rebuilt rather than copied:
     ///
@@ -668,16 +579,17 @@ impl<M: Clone> Kernel<M> {
     ///   into the mainline's span/event ring.
     #[must_use]
     pub fn fork(&self) -> Kernel<M> {
+        let mut core = ShardCore::new(0, 1, &self.topology);
+        core.absorb(&self.core)
+            .expect("the serial kernel routes every send when it is made");
         Kernel {
             now: self.now,
-            queue: self.queue.clone(),
+            core,
             topology: self.topology.clone(),
-            channels: self.channels.clone(),
+            map: self.map.clone(),
             rng: self.rng.clone(),
-            counters: self.counters,
-            route_cache: RouteCache::new(&self.topology),
-            hier: self.hier.is_some().then(HierRouter::new),
             tracer: Tracer::new(),
+            next_cmd: self.next_cmd,
             next_timer_tag: self.next_timer_tag,
         }
     }

@@ -35,7 +35,6 @@
 //! ## Modules
 //!
 //! - [`time`] — [`time::SimTime`] / [`time::SimDuration`] newtypes.
-//! - [`event`] — the deterministic time-ordered [`event::EventQueue`].
 //! - [`rng`] — seeded, splittable randomness ([`rng::SimRng`]).
 //! - [`stats`] — EWMA, running summaries, histograms, counters.
 //! - [`node`] / [`link`] / [`network`] — the deployment graph and routing.
@@ -45,9 +44,10 @@
 //! - [`hash`] — a multiplicative hasher for maps keyed by small ids.
 //! - [`hier`] — hierarchical [`hier::HierRouter`] with region-scoped
 //!   partial cache invalidation.
-//! - [`kernel`] — the [`kernel::Kernel`] tying it all together.
-//! - [`shard`] — shard partitioning, deterministic event keys, per-shard
-//!   event loops.
+//! - [`shard`] — shard partitioning, deterministic event keys and the one
+//!   event core (send, route, FIFO, hold/release, drop and deliver).
+//! - [`kernel`] — the serial [`kernel::Kernel`]: the event core driven as
+//!   a single shard, with the topology, clock, RNG and tracer around it.
 //! - [`coordinator`] — the parallel [`coordinator::ShardedKernel`] with
 //!   deterministic epoch barriers.
 
@@ -57,7 +57,6 @@
 
 pub mod channel;
 pub mod coordinator;
-pub mod event;
 pub mod fault;
 pub mod hash;
 pub mod hier;

@@ -56,17 +56,11 @@ pub struct Link {
     id: LinkId,
     spec: LinkSpec,
     up: bool,
-    bytes_carried: u64,
 }
 
 impl Link {
     pub(crate) fn new(id: LinkId, spec: LinkSpec) -> Self {
-        Link {
-            id,
-            spec,
-            up: true,
-            bytes_carried: 0,
-        }
+        Link { id, spec, up: true }
     }
 
     /// This link's id.
@@ -114,16 +108,6 @@ impl Link {
     #[must_use]
     pub fn transit(&self, size: u64) -> SimDuration {
         self.spec.latency + SimDuration::from_secs_f64(size as f64 / self.spec.bandwidth)
-    }
-
-    pub(crate) fn account(&mut self, size: u64) {
-        self.bytes_carried += size;
-    }
-
-    /// Total bytes that have crossed this link.
-    #[must_use]
-    pub fn bytes_carried(&self) -> u64 {
-        self.bytes_carried
     }
 }
 
@@ -181,9 +165,14 @@ mod tests {
 
     #[test]
     fn accounting_accumulates() {
-        let mut l = link();
-        l.account(10);
-        l.account(20);
-        assert_eq!(l.bytes_carried(), 30);
+        let mut t = crate::network::Topology::new();
+        let a = t.add_node(crate::node::NodeSpec::new("a", 1.0));
+        let b = t.add_node(crate::node::NodeSpec::new("b", 1.0));
+        let lid = t.add_link(LinkSpec::new(a, b, SimDuration::from_millis(10), 1e6));
+        let mut k: crate::kernel::Kernel<u8> = crate::kernel::Kernel::new(t, 1);
+        let ch = k.open_channel(a, b);
+        k.send(ch, 0, 10);
+        k.send(ch, 1, 20);
+        assert_eq!(k.link_bytes(lid), 30);
     }
 }

@@ -329,15 +329,6 @@ impl Topology {
         &self.links[id.0 as usize]
     }
 
-    /// Mutable access to a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.links[id.0 as usize]
-    }
-
     /// Iterates over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
         self.nodes.iter()
@@ -562,13 +553,6 @@ impl Topology {
         }
         scratch.links.reverse();
         Some(transit)
-    }
-
-    /// Charges `size` bytes of accounting to each link along `route`.
-    pub fn account_route(&mut self, route: &Route, size: u64) {
-        for &lid in &route.links {
-            self.link_mut(lid).account(size);
-        }
     }
 
     /// The spread (max - min) of node utilizations at `now`; a load-balance
@@ -968,11 +952,12 @@ mod tests {
 
     #[test]
     fn account_route_charges_links() {
-        let (mut t, a, _b, c) = line3();
-        let r = t.route(a, c, 100).unwrap();
-        t.account_route(&r, 100);
-        assert_eq!(t.link(LinkId(0)).bytes_carried(), 100);
-        assert_eq!(t.link(LinkId(1)).bytes_carried(), 100);
-        assert_eq!(t.link(LinkId(2)).bytes_carried(), 0);
+        let (t, a, _b, c) = line3();
+        let mut k: crate::kernel::Kernel<u8> = crate::kernel::Kernel::new(t, 1);
+        let ch = k.open_channel(a, c);
+        assert!(k.send(ch, 0, 100).is_sent());
+        assert_eq!(k.link_bytes(LinkId(0)), 100);
+        assert_eq!(k.link_bytes(LinkId(1)), 100);
+        assert_eq!(k.link_bytes(LinkId(2)), 0);
     }
 }

@@ -1,11 +1,14 @@
-//! Shard-local half of the parallel kernel.
+//! The event core: send, route, FIFO, hold/release, drop and deliver,
+//! implemented once.
 //!
 //! The sharded kernel partitions [`Topology`]
 //! nodes into K *shards*; each shard runs its own event loop over its own
 //! `KeyedQueue`, route cache and channel state, and talks to the other
 //! shards only through *mailboxes* that the
 //! [`ShardedKernel`](crate::coordinator::ShardedKernel) exchanges at
-//! deterministic epoch barriers.
+//! deterministic epoch barriers. The serial
+//! [`Kernel`](crate::kernel::Kernel) drives the same core as a single
+//! shard that owns every node.
 //!
 //! Determinism comes from [`EventKey`]: every caller-issued command (a
 //! send, a timer, a fault, a release) is stamped with a globally unique,
@@ -15,14 +18,16 @@
 //! the merged occurrence stream is byte-identical at K=1 and K=N.
 
 use crate::channel::{ChannelId, ChannelStats, DropReason, HeldMessage};
+use crate::fault::FaultKind;
 use crate::hier::{HierRouter, HierStats};
 use crate::kernel::KernelCounter;
 use crate::link::LinkId;
-use crate::network::{RouteCache, RouteCacheStats, Topology};
+use crate::network::{Route, RouteCache, RouteCacheStats, Topology};
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Pads (and aligns) a value to a 64-byte cache line so two hot fields
@@ -156,7 +161,7 @@ impl std::fmt::Display for EventKey {
 }
 
 /// Shard-internal event representation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum ShardEvent<M> {
     /// A send issued by the caller, processed at the source shard at its
     /// scheduled time (routing, FIFO and accounting all happen then).
@@ -171,6 +176,10 @@ pub(crate) enum ShardEvent<M> {
     },
     /// A caller timer.
     Timer { tag: u64 },
+    /// A scheduled fault. Only the serial [`Kernel`](crate::kernel::Kernel)
+    /// queues faults, and it applies them to the topology it owns; the
+    /// sharded coordinator runs faults as sync points instead.
+    Fault(FaultKind),
 }
 
 impl<M> ShardEvent<M> {
@@ -178,7 +187,7 @@ impl<M> ShardEvent<M> {
     pub(crate) fn channel(&self) -> Option<ChannelId> {
         match self {
             ShardEvent::SendCmd { ch, .. } | ShardEvent::Deliver { ch, .. } => Some(*ch),
-            ShardEvent::Timer { .. } => None,
+            ShardEvent::Timer { .. } | ShardEvent::Fault(_) => None,
         }
     }
 }
@@ -203,7 +212,7 @@ pub enum ShardFired<M> {
         tag: u64,
     },
     /// A scheduled fault was applied to the topology.
-    Fault(crate::fault::FaultKind),
+    Fault(FaultKind),
     /// A message was dropped, either at send time (`at_send`) or at
     /// delivery time. The payload is handed back for precise accounting.
     Dropped {
@@ -237,27 +246,6 @@ pub(crate) struct Entry<M> {
     pub at: SimTime,
     pub key: EventKey,
     pub ev: ShardEvent<M>,
-}
-
-impl<M> PartialEq for Entry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
-    }
-}
-impl<M> Eq for Entry<M> {}
-impl<M> PartialOrd for Entry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Entry<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we pop earliest (time, key).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.key.cmp(&self.key))
-    }
 }
 
 /// A struct-of-arrays run of in-transit deliveries — the unit of
@@ -357,67 +345,144 @@ impl<M> DeliverBatch<M> {
         sent_ats.clear();
         *min_at = SimTime::MAX;
     }
+
+    /// A copy of every entry, in batch order (the batch is untouched).
+    pub fn entries(&self) -> impl Iterator<Item = Entry<M>> + '_
+    where
+        M: Clone,
+    {
+        (0..self.len()).map(|i| Entry {
+            at: self.ats[i],
+            key: self.keys[i],
+            ev: ShardEvent::Deliver {
+                ch: self.chs[i],
+                msg: self.msgs[i].clone(),
+                size: self.sizes[i],
+                sent_at: self.sent_ats[i],
+            },
+        })
+    }
 }
 
-/// A `(time, key)`-ordered event queue. Unlike
-/// [`EventQueue`](crate::event::EventQueue), ties are broken by the
+/// A `(time, key)`-ordered event queue. Ties are broken by the
 /// deterministic [`EventKey`] rather than local insertion order, which is
 /// what makes pop order identical regardless of which shard pushed when.
+///
+/// The heap orders small `(time, key, slot)` records while the events sit
+/// in a slab, so a sift moves a few words however large the message is;
+/// a slot a pop frees is reused by a later push.
 #[derive(Debug)]
 pub(crate) struct KeyedQueue<M> {
-    heap: BinaryHeap<Entry<M>>,
+    heap: BinaryHeap<Slot>,
+    events: Vec<Option<ShardEvent<M>>>,
+    free: Vec<u32>,
+}
+
+/// A queued event's coordinates and its slab index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    at: SimTime,
+    key: EventKey,
+    idx: u32,
+}
+
+impl PartialOrd for Slot {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Slot {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we pop earliest (time, key).
+        (other.at, other.key).cmp(&(self.at, self.key))
+    }
 }
 
 impl<M> Default for KeyedQueue<M> {
     fn default() -> Self {
         KeyedQueue {
             heap: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
         }
     }
 }
 
 impl<M> KeyedQueue<M> {
+    #[inline]
     pub fn push(&mut self, entry: Entry<M>) {
-        self.heap.push(entry);
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.events[idx as usize] = Some(entry.ev);
+                idx
+            }
+            None => {
+                self.events.push(Some(entry.ev));
+                (self.events.len() - 1) as u32
+            }
+        };
+        self.heap.push(Slot {
+            at: entry.at,
+            key: entry.key,
+            idx,
+        });
     }
 
+    #[inline]
     pub fn pop(&mut self) -> Option<Entry<M>> {
-        self.heap.pop()
+        let Slot { at, key, idx } = self.heap.pop()?;
+        self.free.push(idx);
+        let ev = self.events[idx as usize].take().expect("queued slot");
+        Some(Entry { at, key, ev })
     }
 
     /// `(time, key)` of the earliest entry without removing it.
     pub fn peek(&self) -> Option<(SimTime, EventKey)> {
-        self.heap.peek().map(|e| (e.at, e.key))
+        self.heap.peek().map(|s| (s.at, s.key))
     }
 
-    #[allow(dead_code)] // used by unit tests and kept for symmetry
+    /// Iterates over every pending `(time, key, event)` in arbitrary order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, EventKey, &ShardEvent<M>)> {
+        self.heap.iter().map(|s| {
+            let ev = self.events[s.idx as usize].as_ref().expect("queued slot");
+            (s.at, s.key, ev)
+        })
+    }
+
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Iterates over every pending entry in arbitrary (heap) order — the
-    /// serial projection collects and re-sorts them itself.
-    pub fn iter(&self) -> impl Iterator<Item = &Entry<M>> {
-        self.heap.iter()
+    /// Makes room for `additional` more entries.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+        self.events
+            .reserve(additional.saturating_sub(self.free.len()));
     }
 
-    #[allow(dead_code)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
-    /// Removes and returns every entry belonging to `ch`, preserving
-    /// nothing about heap order (callers re-push into another queue, which
-    /// re-establishes `(time, key)` order). Used when a rebind migrates a
-    /// channel between shards.
+    /// Removes and returns every entry belonging to `ch`, in no particular
+    /// order (callers re-push into another queue, which re-establishes
+    /// `(time, key)` order). Used when a rebind migrates a channel between
+    /// shards.
     pub fn extract_channel(&mut self, ch: ChannelId) -> Vec<Entry<M>> {
-        let drained = std::mem::take(&mut self.heap).into_vec();
+        let slots = std::mem::take(&mut self.heap).into_vec();
         let mut extracted = Vec::new();
-        for e in drained {
-            if e.ev.channel() == Some(ch) {
-                extracted.push(e);
+        for slot in slots {
+            let ev = &mut self.events[slot.idx as usize];
+            if ev.as_ref().and_then(ShardEvent::channel) == Some(ch) {
+                self.free.push(slot.idx);
+                extracted.push(Entry {
+                    at: slot.at,
+                    key: slot.key,
+                    ev: ev.take().expect("queued slot"),
+                });
             } else {
-                self.heap.push(e);
+                self.heap.push(slot);
             }
         }
         extracted
@@ -425,19 +490,45 @@ impl<M> KeyedQueue<M> {
 }
 
 /// Send-side state of a channel, owned by the shard of its source node.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SendSide {
     pub src: NodeId,
     pub dst: NodeId,
     pub open: bool,
+    /// Arrival time of the latest message sent; enforces FIFO.
     pub fifo_tail: SimTime,
     pub sent: u64,
     pub dropped: u64,
 }
 
+impl SendSide {
+    /// The send side of a newly opened channel.
+    pub fn new(src: NodeId, dst: NodeId) -> Self {
+        SendSide {
+            src,
+            dst,
+            open: true,
+            fifo_tail: SimTime::ZERO,
+            sent: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Later sends drop with [`DropReason::ChannelClosed`].
+    pub fn close(&mut self) {
+        self.open = false;
+    }
+
+    /// Points later sends at new endpoints.
+    pub fn rebind(&mut self, src: NodeId, dst: NodeId) {
+        self.src = src;
+        self.dst = dst;
+    }
+}
+
 /// Delivery-side state of a channel, owned by the shard of its
 /// destination node.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DeliverSide<M> {
     pub dst: NodeId,
     pub open: bool,
@@ -445,6 +536,47 @@ pub(crate) struct DeliverSide<M> {
     pub held: VecDeque<HeldMessage<M>>,
     pub delivered: u64,
     pub dropped: u64,
+}
+
+impl<M> DeliverSide<M> {
+    /// The delivery side of a newly opened channel.
+    pub fn new(dst: NodeId) -> Self {
+        DeliverSide {
+            dst,
+            open: true,
+            blocked: false,
+            held: VecDeque::new(),
+            delivered: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Arrivals are held, in order, until [`ShardCore::release`].
+    pub fn block(&mut self) {
+        self.blocked = true;
+    }
+
+    /// Arrivals drop with [`DropReason::ChannelClosed`].
+    pub fn close(&mut self) {
+        self.open = false;
+    }
+
+    /// Checks arrivals (including those already in flight) against a new
+    /// destination.
+    pub fn rebind(&mut self, dst: NodeId) {
+        self.dst = dst;
+    }
+}
+
+/// What an arriving message does, as decided by [`ShardCore::arrive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// Hand it to the application.
+    Deliver,
+    /// Keep it, in order, until the blocked channel is released.
+    Hold,
+    /// Lose it.
+    Drop(DropReason),
 }
 
 /// One shard's event loop state: its queue, the channel sides it owns,
@@ -529,6 +661,105 @@ impl<M> ShardCore<M> {
         }
     }
 
+    /// Resolves the route a send on `(src, dst, size)` takes right now:
+    /// through the hierarchical router when enabled, the flat
+    /// epoch-invalidated cache otherwise.
+    pub fn route(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        size: u64,
+    ) -> Option<Arc<Route>> {
+        match &mut self.hier {
+            Some(h) => h.resolve(topo, src, dst, size),
+            None => self.route_cache.resolve(topo, src, dst, size),
+        }
+    }
+
+    /// Unblocks `ch`, whose delivery side this core owns, and re-queues
+    /// its held messages at `at` in arrival order under the keys
+    /// `(cmd, 1)`, `(cmd, 2)`, …. Returns how many were released.
+    pub fn release(&mut self, ch: ChannelId, at: SimTime, cmd: u64) -> u64 {
+        let Some(side) = self.deliver_sides[ch.0 as usize].as_mut() else {
+            return 0;
+        };
+        side.blocked = false;
+        let held = std::mem::take(&mut side.held);
+        let released = held.len() as u64;
+        for (i, h) in held.into_iter().enumerate() {
+            self.queue.push(Entry {
+                at,
+                key: EventKey::new(cmd, i as u32 + 1),
+                ev: ShardEvent::Deliver {
+                    ch,
+                    msg: h.msg,
+                    size: h.size,
+                    sent_at: h.sent_at,
+                },
+            });
+        }
+        released
+    }
+
+    /// Copies into this core everything `other` holds: its queued and
+    /// inbox entries with their keys, the channel sides it owns, its
+    /// counters and link bytes, and whether it routes hierarchically
+    /// (the router itself starts cold). Returns `None`, leaving this core
+    /// partly filled, when `other` still holds an un-routed send command.
+    pub fn absorb(&mut self, other: &ShardCore<M>) -> Option<()>
+    where
+        M: Clone,
+    {
+        if other
+            .queue
+            .iter()
+            .any(|(_, _, ev)| matches!(ev, ShardEvent::SendCmd { .. }))
+        {
+            return None;
+        }
+        let inbound: usize = other.inbox.iter().map(DeliverBatch::len).sum();
+        self.queue.reserve(other.queue.len() + inbound);
+        for (at, key, ev) in other.queue.iter() {
+            let ev = ev.clone();
+            self.queue.push(Entry { at, key, ev });
+        }
+        for b in &other.inbox {
+            for e in b.entries() {
+                self.queue.push(e);
+            }
+        }
+        if let Some(last) = other.send_sides.len().checked_sub(1) {
+            self.ensure_channel_slot(ChannelId(last as u64));
+        }
+        for (i, (s, d)) in other
+            .send_sides
+            .iter()
+            .zip(&other.deliver_sides)
+            .enumerate()
+        {
+            if let Some(s) = s {
+                self.send_sides[i] = Some(s.clone());
+            }
+            if let Some(d) = d {
+                self.deliver_sides[i] = Some(d.clone());
+            }
+        }
+        for (c, n) in self.counters.iter_mut().zip(other.counters) {
+            *c += n;
+        }
+        if self.link_bytes.len() < other.link_bytes.len() {
+            self.link_bytes.resize(other.link_bytes.len(), 0);
+        }
+        for (b, n) in self.link_bytes.iter_mut().zip(&other.link_bytes) {
+            *b += n;
+        }
+        if other.hier.is_some() && self.hier.is_none() {
+            self.hier = Some(HierRouter::new());
+        }
+        Some(())
+    }
+
     /// Runs this shard's loop over its inbox and every queued event
     /// strictly before `end`. Cross-shard events land in `outboxes`;
     /// occurrences land in `fired`. Safe to run concurrently with the
@@ -537,9 +768,6 @@ impl<M> ShardCore<M> {
     pub fn run_window(&mut self, topo: &Topology, map: &ShardMap, end: SimTime) {
         let t0 = Instant::now();
         self.drain_inbox();
-        if self.link_bytes.len() < topo.link_count() {
-            self.link_bytes.resize(topo.link_count(), 0);
-        }
         while let Some((at, _)) = self.queue.peek() {
             if at >= end {
                 break;
@@ -548,7 +776,9 @@ impl<M> ShardCore<M> {
             if entry.at >= end {
                 self.overrun_events += 1;
             }
-            self.process(entry, topo, map);
+            if let Some(e) = self.process(entry, topo, map) {
+                self.fired.push_back(e);
+            }
         }
         self.busy_ns += t0.elapsed().as_nanos() as u64;
     }
@@ -572,143 +802,175 @@ impl<M> ShardCore<M> {
             .fold(queued, SimTime::min)
     }
 
-    /// Processes one event against shard-owned state. Also used by the
-    /// coordinator's sequential sync steps, which drain the outboxes after
-    /// every call instead of waiting for a barrier.
-    pub fn process(&mut self, entry: Entry<M>, topo: &Topology, map: &ShardMap) {
+    /// Routes a send on `ch` at `at`: charges the route's links and
+    /// keeps the channel FIFO. Returns the arrival time and the shard that
+    /// owns the destination, or why the message drops (channel closed, no
+    /// live route). The caller hands the message to [`ShardCore::enqueue`].
+    pub fn route_send(
+        &mut self,
+        at: SimTime,
+        ch: ChannelId,
+        size: u64,
+        topo: &Topology,
+        map: &ShardMap,
+    ) -> Result<(SimTime, ShardId), DropReason> {
+        let side = self.send_sides[ch.0 as usize]
+            .as_mut()
+            .expect("send side owned by this shard");
+        let (src, dst, open) = (side.src, side.dst, side.open);
+        let route = if open {
+            self.route(topo, src, dst, size)
+        } else {
+            None
+        };
+        let side = self.send_sides[ch.0 as usize].as_mut().expect("owned");
+        let Some(route) = route else {
+            side.dropped += 1;
+            self.bump(KernelCounter::Dropped);
+            return Err(if open {
+                DropReason::Unreachable
+            } else {
+                DropReason::ChannelClosed
+            });
+        };
+        let arrival = (at + route.transit).max(side.fifo_tail);
+        side.fifo_tail = arrival;
+        side.sent += 1;
+        if self.link_bytes.len() < topo.link_count() {
+            self.link_bytes.resize(topo.link_count(), 0); // the topology grew
+        }
+        for &lid in &route.links {
+            self.link_bytes[lid.0 as usize] += size;
+        }
+        self.bump(KernelCounter::Sent);
+        Ok((arrival, map.shard_of(dst)))
+    }
+
+    /// Queues a message [`ShardCore::route_send`] accepted: here when
+    /// `dest` is this shard, in the outbox for `dest` otherwise.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn enqueue(
+        &mut self,
+        dest: ShardId,
+        arrival: SimTime,
+        key: EventKey,
+        ch: ChannelId,
+        msg: M,
+        size: u64,
+        sent_at: SimTime,
+    ) {
+        if dest.0 == self.id {
+            self.queue.push(Entry {
+                at: arrival,
+                key,
+                ev: ShardEvent::Deliver {
+                    ch,
+                    msg,
+                    size,
+                    sent_at,
+                },
+            });
+        } else {
+            self.outboxes[dest.0 as usize].push(arrival, key, ch, msg, size, sent_at);
+        }
+    }
+
+    /// Decides what an arrival on `ch`, whose delivery side this core
+    /// owns, does now, and counts it on the side and in the core
+    /// counters. The caller hands a held message to [`ShardCore::hold`].
+    pub fn arrive(&mut self, ch: ChannelId, topo: &Topology) -> Arrival {
+        let side = self.deliver_sides[ch.0 as usize]
+            .as_mut()
+            .expect("deliver side owned by this shard");
+        let arrival = if !side.open {
+            Arrival::Drop(DropReason::ChannelClosed)
+        } else if side.blocked {
+            Arrival::Hold
+        } else if !topo.node(side.dst).is_up() {
+            Arrival::Drop(DropReason::DestinationDown)
+        } else {
+            Arrival::Deliver
+        };
+        match arrival {
+            Arrival::Deliver => {
+                side.delivered += 1;
+                self.bump(KernelCounter::Delivered);
+            }
+            Arrival::Hold => self.bump(KernelCounter::Held),
+            Arrival::Drop(_) => {
+                side.dropped += 1;
+                self.bump(KernelCounter::Dropped);
+            }
+        }
+        arrival
+    }
+
+    /// Queues a message that [`ShardCore::arrive`] held on `ch`.
+    #[inline]
+    pub fn hold(&mut self, ch: ChannelId, held: HeldMessage<M>) {
+        self.deliver_sides[ch.0 as usize]
+            .as_mut()
+            .expect("deliver side owned by this shard")
+            .held
+            .push_back(held);
+    }
+
+    /// Processes one event against shard-owned state and returns the
+    /// occurrence it produces, if any (a send that routes and a delivery
+    /// that is held produce none). Also used by the coordinator's
+    /// sequential sync steps, which drain the outboxes after every call
+    /// instead of waiting for a barrier.
+    pub fn process(
+        &mut self,
+        entry: Entry<M>,
+        topo: &Topology,
+        map: &ShardMap,
+    ) -> Option<MergedEvent<M>> {
         self.events_processed += 1;
         let Entry { at, key, ev } = entry;
         self.last_at = at;
-        match ev {
-            ShardEvent::SendCmd { ch, msg, size } => {
-                let side = self.send_sides[ch.0 as usize]
-                    .as_mut()
-                    .expect("send side owned by this shard");
-                if !side.open {
-                    side.dropped += 1;
-                    self.bump(KernelCounter::Dropped);
-                    self.fired.push_back(MergedEvent {
-                        at,
-                        key,
-                        what: ShardFired::Dropped {
-                            channel: ch,
-                            msg,
-                            reason: DropReason::ChannelClosed,
-                            at_send: true,
-                        },
-                    });
-                    return;
+        let what = match ev {
+            ShardEvent::SendCmd { ch, msg, size } => match self.route_send(at, ch, size, topo, map)
+            {
+                Ok((arrival, dest)) => {
+                    self.enqueue(dest, arrival, key, ch, msg, size, at);
+                    return None;
                 }
-                let (src, dst) = (side.src, side.dst);
-                let resolved = match &mut self.hier {
-                    Some(h) => h.resolve(topo, src, dst, size),
-                    None => self.route_cache.resolve(topo, src, dst, size),
-                };
-                let Some(route) = resolved else {
-                    let side = self.send_sides[ch.0 as usize].as_mut().expect("owned");
-                    side.dropped += 1;
-                    self.bump(KernelCounter::Dropped);
-                    self.fired.push_back(MergedEvent {
-                        at,
-                        key,
-                        what: ShardFired::Dropped {
-                            channel: ch,
-                            msg,
-                            reason: DropReason::Unreachable,
-                            at_send: true,
-                        },
-                    });
-                    return;
-                };
-                for &lid in &route.links {
-                    self.link_bytes[lid.0 as usize] += size;
-                }
-                let side = self.send_sides[ch.0 as usize].as_mut().expect("owned");
-                let arrival = (at + route.transit).max(side.fifo_tail);
-                side.fifo_tail = arrival;
-                side.sent += 1;
-                self.bump(KernelCounter::Sent);
-                let dest = map.shard_of(dst);
-                if dest.0 == self.id {
-                    self.queue.push(Entry {
-                        at: arrival,
-                        key,
-                        ev: ShardEvent::Deliver {
-                            ch,
-                            msg,
-                            size,
-                            sent_at: at,
-                        },
-                    });
-                } else {
-                    self.outboxes[dest.0 as usize].push(arrival, key, ch, msg, size, at);
-                }
-            }
+                Err(reason) => ShardFired::Dropped {
+                    channel: ch,
+                    msg,
+                    reason,
+                    at_send: true,
+                },
+            },
             ShardEvent::Deliver {
                 ch,
                 msg,
                 size,
                 sent_at,
-            } => {
-                let side = self.deliver_sides[ch.0 as usize]
-                    .as_mut()
-                    .expect("deliver side owned by this shard");
-                if !side.open {
-                    side.dropped += 1;
-                    self.bump(KernelCounter::Dropped);
-                    self.fired.push_back(MergedEvent {
-                        at,
-                        key,
-                        what: ShardFired::Dropped {
-                            channel: ch,
-                            msg,
-                            reason: DropReason::ChannelClosed,
-                            at_send: false,
-                        },
-                    });
-                    return;
+            } => match self.arrive(ch, topo) {
+                Arrival::Deliver => ShardFired::Delivered {
+                    channel: ch,
+                    msg,
+                    size,
+                    sent_at,
+                },
+                Arrival::Hold => {
+                    self.hold(ch, HeldMessage { msg, size, sent_at });
+                    return None; // invisible to the caller
                 }
-                if side.blocked {
-                    side.held.push_back(HeldMessage { msg, size, sent_at });
-                    self.bump(KernelCounter::Held);
-                    return; // invisible to the caller, exactly like the kernel
-                }
-                if !topo.node(side.dst).is_up() {
-                    side.dropped += 1;
-                    self.bump(KernelCounter::Dropped);
-                    self.fired.push_back(MergedEvent {
-                        at,
-                        key,
-                        what: ShardFired::Dropped {
-                            channel: ch,
-                            msg,
-                            reason: DropReason::DestinationDown,
-                            at_send: false,
-                        },
-                    });
-                    return;
-                }
-                side.delivered += 1;
-                self.bump(KernelCounter::Delivered);
-                self.fired.push_back(MergedEvent {
-                    at,
-                    key,
-                    what: ShardFired::Delivered {
-                        channel: ch,
-                        msg,
-                        size,
-                        sent_at,
-                    },
-                });
-            }
-            ShardEvent::Timer { tag } => {
-                self.fired.push_back(MergedEvent {
-                    at,
-                    key,
-                    what: ShardFired::Timer { tag },
-                });
-            }
-        }
+                Arrival::Drop(reason) => ShardFired::Dropped {
+                    channel: ch,
+                    msg,
+                    reason,
+                    at_send: false,
+                },
+            },
+            ShardEvent::Timer { tag } => ShardFired::Timer { tag },
+            ShardEvent::Fault(_) => unreachable!("only the serial kernel queues faults"),
+        };
+        Some(MergedEvent { at, key, what })
     }
 
     /// Merged per-channel stats contribution from the sides this shard

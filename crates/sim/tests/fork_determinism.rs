@@ -325,6 +325,98 @@ fn render_sharded(at: SimTime, what: &ShardFired<u64>) -> Option<String> {
     }
 }
 
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Runs a case's whole script on a fresh serial kernel and hashes the
+/// rendered log: every send outcome and every `Fired` occurrence in order.
+/// With `grid`, every event lands on a whole millisecond (faults snapped,
+/// timers rounded, zero-size sends over whole-millisecond links), so
+/// deliveries, timers, faults and releases often share an instant.
+fn mainline_log_hash(seed: u64, grid: bool) -> u64 {
+    let mut case = build_case(seed);
+    if grid {
+        for (at, _) in &mut case.faults {
+            *at = SimTime::from_millis(at.as_micros() / 1_000);
+        }
+    }
+    let (mut k, chans) = fresh_kernel(&case);
+    let mut log = String::new();
+    for op in case.first.iter().chain(&case.second) {
+        match *op {
+            Op::Send { ch, msg, size } => {
+                let size = if grid { 0 } else { size };
+                let _ = writeln!(log, "send ch{ch} {:?}", k.send(chans[ch], msg, size));
+            }
+            Op::Timer { delay_us } => {
+                let _ = k.set_timer(if grid {
+                    SimDuration::from_millis(delay_us / 5_000)
+                } else {
+                    SimDuration::from_micros(delay_us)
+                });
+            }
+            Op::Block { ch } => k.block_channel(chans[ch]),
+            Op::Unblock { ch } => k.unblock_channel(chans[ch]),
+            Op::Steps { n } => {
+                for _ in 0..n {
+                    let Some((at, fired)) = k.step() else { break };
+                    log.push_str(&render_serial(at, &fired));
+                    log.push('\n');
+                }
+            }
+            Op::RngDraw => {
+                let _ = k.rng().below(1 << 30);
+            }
+        }
+    }
+    fnv1a(log.as_bytes())
+}
+
+/// Golden event order across kernel versions: the rendered occurrence log
+/// of a handful of scripted schedules must hash to the values recorded
+/// when they were first pinned. A tie-break change in the event core
+/// (same-instant deliveries, timers, faults and releases) fails here
+/// rather than only shifting a fingerprint further downstream.
+#[test]
+fn mainline_event_order_matches_golden_hashes() {
+    const GOLDEN: [(u64, u64); 6] = [
+        (0, 0xd921caf84db43f7a),
+        (1, 0x0b771166b752d663),
+        (7, 0x784cc860034d473b),
+        (42, 0xac22eb7945c60589),
+        (99, 0xc58e1b83593a2250),
+        (127, 0xa627f2ee598b805d),
+    ];
+    let got: Vec<(u64, u64)> = GOLDEN
+        .iter()
+        .map(|&(seed, _)| (seed, mainline_log_hash(seed, false)))
+        .collect();
+    assert_eq!(got, GOLDEN.to_vec(), "event order changed");
+}
+
+/// The same golden check with every event on a millisecond grid, so the
+/// tie-break between same-instant events of every kind is what is pinned.
+#[test]
+fn same_instant_event_order_matches_golden_hashes() {
+    const GOLDEN: [(u64, u64); 6] = [
+        (0, 0xd2396f54aa4793bf),
+        (1, 0x87f39fae84c5584d),
+        (7, 0x30be5ea423f114d5),
+        (42, 0x71a35bbb13ec8447),
+        (99, 0x104a87292ff1028e),
+        (127, 0x24dab887d4d85380),
+    ];
+    let got: Vec<(u64, u64)> = GOLDEN
+        .iter()
+        .map(|&(seed, _)| (seed, mainline_log_hash(seed, true)))
+        .collect();
+    assert_eq!(got, GOLDEN.to_vec(), "same-instant event order changed");
+}
+
 /// Drives a sharded kernel to a mid-run barrier, projects it onto a
 /// serial fork, then drains both: the remaining streams, final counters
 /// and channel stats must agree.

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation substrate.
 
-use aas_sim::event::EventQueue;
+use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::link::LinkSpec;
 use aas_sim::network::Topology;
 use aas_sim::node::{NodeId, NodeSpec};
@@ -10,15 +10,16 @@ use aas_sim::trace::ResourceTrace;
 use proptest::prelude::*;
 
 proptest! {
-    /// Events pop in nondecreasing time order; ties keep insertion order.
+    /// Kernel events pop in nondecreasing time order; ties keep push
+    /// order (timer tags are handed out in push order).
     #[test]
     fn event_queue_total_order(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_micros(t), i);
+        let mut k: Kernel<()> = Kernel::new(Topology::new(), 0);
+        for &t in &times {
+            k.set_timer(SimDuration::from_micros(t));
         }
-        let mut prev: Option<(SimTime, usize)> = None;
-        while let Some((at, idx)) = q.pop() {
+        let mut prev: Option<(SimTime, u64)> = None;
+        while let Some((at, Fired::Timer { tag: idx })) = k.step() {
             if let Some((pt, pidx)) = prev {
                 prop_assert!(at >= pt);
                 if at == pt {
@@ -27,6 +28,7 @@ proptest! {
             }
             prev = Some((at, idx));
         }
+        prop_assert!(!k.has_pending(), "every timer fired");
     }
 
     /// Histogram quantiles are monotone in q and bounded by min/max.
